@@ -21,7 +21,7 @@ use std::time::Instant;
 use liger::{EncodedProgram, FloatEngine, LigerConfig, LigerModel, QuantEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tensor::{gemm_batch, ParamStore};
+use tensor::{gemm_batch, ParamStore, QuantStore};
 
 /// PR 2 steady-state baseline (BENCH_encode.json before this PR).
 const BASELINE_PROGRAMS_PER_SEC: f64 = 441.9;
@@ -109,14 +109,13 @@ fn main() {
         progs.len()
     );
 
-    // int8 engine: same parameters quantized to per-row-absmax int8.
-    let mut qe = QuantEngine::new(&store);
+    // int8 engine: same parameters quantized to per-row-absmax int8, the
+    // same batch-major pass.
+    let qs = QuantStore::quantize(&store);
+    let mut qe = QuantEngine::new(&qs);
     let int8_secs = time_best(5, || {
-        let mut acc = 0.0f64;
-        for prog in &progs {
-            acc += qe.embed(&model, prog).iter().sum::<f32>() as f64;
-        }
-        acc
+        let outs = qe.encode_batch(&model, &prog_refs);
+        outs.iter().map(|o| o.program.iter().sum::<f32>() as f64).sum()
     });
     let int8_rate = progs.len() as f64 / int8_secs;
     println!(

@@ -532,9 +532,8 @@ mod tests {
         let loaded = ModelBundle::from_bytes(&bundle.to_bytes()).unwrap();
         let BundleHead::Classifier(labels) = &loaded.head else { panic!("expected classifier") };
         assert_eq!(labels[1], "search line 2\n");
-        let (task, store) = loaded.instantiate().unwrap();
-        let mut ws = crate::model::Workspace::new();
-        let (class, label) = task.classify_in(&mut ws, &store, &prog(1)).unwrap();
+        let inf = crate::Inferencer::from_bundle(&loaded).unwrap();
+        let (class, label) = inf.classify(&prog(1)).unwrap();
         assert!(class < 3);
         assert!(!label.is_empty());
     }
@@ -582,9 +581,8 @@ mod tests {
 
         // Quantized greedy naming through the engine agrees with the
         // dequantized-store prediction run through the f32 tape.
-        let mut engine = crate::QuantEngine::from_store(qs.clone());
-        let mut ws = crate::model::Workspace::new();
-        assert_eq!(engine.name(namer, &prog(1)), namer.predict_in(&mut ws, &store, &prog(1)));
+        let mut engine = crate::QuantEngine::new(qs);
+        assert_eq!(engine.name(namer, &prog(1)), namer.predict(&store, &prog(1)));
     }
 
     #[test]
@@ -594,12 +592,8 @@ mod tests {
         let (task, _) = loaded.instantiate().unwrap();
         let LigerTask::Namer { namer, .. } = &task else { panic!("expected namer") };
 
-        let (ftask, fstore) = bundle.instantiate().unwrap();
-        let mut ws = crate::model::Workspace::new();
-        let f32_emb = ftask.embed_in(&mut ws, &fstore, &prog(1));
-
-        let mut engine =
-            crate::QuantEngine::from_store(loaded.qstore.clone().expect("qstore"));
+        let f32_emb = crate::Inferencer::from_bundle(&bundle).unwrap().embed(&prog(1));
+        let mut engine = crate::QuantEngine::new(loaded.qstore.as_ref().expect("qstore"));
         let q_emb = engine.embed(&namer.model, &prog(1));
         assert!(crate::qencode::cosine(&f32_emb, &q_emb) >= 0.99);
     }

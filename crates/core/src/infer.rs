@@ -1,37 +1,36 @@
 //! Single-shot inference: query a trained model without constructing a
 //! trainer.
 //!
-//! Training code owns the `ParamStore` mutably and drives epochs; the
-//! serving path ([`crate::bundle::ModelBundle`] → [`LigerTask`] /
-//! [`Inferencer`]) only ever *reads* parameters. This module is the thin
-//! read-only surface the `liger-serve` service and the examples build on:
+//! Training code owns the `ParamStore` mutably and drives epochs on the
+//! autodiff tape; inference ([`crate::bundle::ModelBundle`] →
+//! [`Inferencer`]) only ever *reads* parameters, and every forward-only
+//! entry point runs the tape-free [`crate::qencode::Engine`]. This module
+//! is the thin read-only surface the `liger-serve` service and the
+//! examples build on:
 //!
 //! - [`ExtractOptions`] / [`extract_encoded`] — MiniLang source →
 //!   [`EncodedProgram`], running the feedback-directed generator with a
 //!   fixed seed so the same source always produces the same blended
 //!   traces (and therefore a bit-reproducible embedding);
 //! - [`LigerTask`] — a trained encoder plus its task head (namer or
-//!   classifier), with `*_in` methods that run one forward pass on a
-//!   caller-provided [`Workspace`] (the per-worker arena-reuse pattern
-//!   from DESIGN.md §2b);
-//! - [`Inferencer`] — the batteries-included owner of task + parameters +
-//!   workspace for sequential callers.
+//!   classifier);
+//! - [`Inferencer`] — task + vocabulary + one weight form (f32 or int8),
+//!   shared read-only by any number of threads.
 //!
-//! Every entry point uses the memoized encoder ([`LigerModel::encode_memo`]),
-//! so served results are bitwise identical to the offline
-//! `EncodeMode::Memoized` path — and, by the §2b equivalence guarantees,
-//! to the uncached reference as well.
+//! The f32 engine is bitwise identical to the tape's `LigerModel::encode`
+//! and `LigerNamer::predict` (DESIGN.md §2f), so served results equal the
+//! training-time forward pass for every batch composition.
 
 use crate::bundle::{BundleError, ModelBundle};
 use crate::encode::{encode_program, EncodeOptions, EncodedProgram};
 use crate::model::{LigerModel, Workspace};
-use crate::qencode::QuantEngine;
+use crate::qencode::{Engine, EngineWeights, FloatEngine, QuantEngine};
 use crate::train::LigerNamer;
 use crate::vocab::{OutVocab, Vocab};
 use crate::LigerClassifier;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tensor::ParamStore;
+use tensor::{ParamStore, QuantStore};
 
 /// How MiniLang source is turned into blended traces at inference time.
 #[derive(Debug, Clone, PartialEq)]
@@ -173,61 +172,65 @@ impl LigerTask {
         }
     }
 
-    /// The program embedding 𝓗_P for one program (resets `ws` first).
-    /// Bitwise identical to the offline memoized encoder.
+    /// The program embedding 𝓗_P for one program, through the f32 engine.
+    /// `_ws` is unused: inference runs tape-free, and the parameter only
+    /// keeps the signature callers already use.
     pub fn embed_in(
         &self,
-        ws: &mut Workspace,
+        _ws: &mut Workspace,
         store: &ParamStore,
         prog: &EncodedProgram,
     ) -> Vec<f32> {
-        ws.reset();
-        let enc = self.model().encode_memo(ws, store, prog);
-        ws.graph.value(enc.program).data().to_vec()
+        FloatEngine::new(store).embed(self.model(), prog)
     }
 
-    /// Program embeddings for a whole minibatch in one graph, through the
-    /// batch-major fused-GEMM encoder (resets `ws` first). Each embedding
-    /// is bitwise identical to its [`LigerTask::embed_in`] result; the
-    /// batched tape just reaches them with panel matmuls instead of
-    /// per-program matvecs.
+    /// Program embeddings for a whole minibatch through the batch-major
+    /// f32 engine. Each is bitwise identical to its
+    /// [`LigerTask::embed_in`] result. `_ws` is unused, as there.
     pub fn embed_batch_in(
         &self,
-        ws: &mut Workspace,
+        _ws: &mut Workspace,
         store: &ParamStore,
         progs: &[&EncodedProgram],
     ) -> Vec<Vec<f32>> {
-        ws.reset();
-        let outs = self.model().encode_batch(ws, store, progs);
-        outs.iter().map(|o| ws.graph.value(o.program).data().to_vec()).collect()
+        FloatEngine::new(store).embed_batch(self.model(), progs)
     }
 
-    /// Predicted method-name sub-tokens; `None` for classifier bundles.
+    /// Predicted method-name sub-tokens through the f32 engine; `None`
+    /// for classifier bundles. `_ws` is unused, as in
+    /// [`LigerTask::embed_in`].
     pub fn name_in(
         &self,
-        ws: &mut Workspace,
+        _ws: &mut Workspace,
         store: &ParamStore,
         prog: &EncodedProgram,
     ) -> Option<Vec<String>> {
+        self.name_with(&mut FloatEngine::new(store), prog)
+    }
+
+    /// [`LigerTask::name_in`] on any engine.
+    fn name_with<W: EngineWeights>(
+        &self,
+        engine: &mut Engine<W>,
+        prog: &EncodedProgram,
+    ) -> Option<Vec<String>> {
         match self {
-            LigerTask::Namer { namer, out } => {
-                Some(out.decode_name(&namer.predict_in(ws, store, prog)))
-            }
+            LigerTask::Namer { namer, out } => Some(out.decode_name(&engine.name(namer, prog))),
             LigerTask::Classifier { .. } => None,
         }
     }
 
-    /// Predicted class id and display label; `None` for namer bundles.
-    pub fn classify_in(
+    /// Predicted class id and display label on any engine; `None` for
+    /// namer bundles.
+    fn classify_with<W: EngineWeights>(
         &self,
-        ws: &mut Workspace,
-        store: &ParamStore,
+        engine: &mut Engine<W>,
         prog: &EncodedProgram,
     ) -> Option<(usize, String)> {
         match self {
             LigerTask::Namer { .. } => None,
             LigerTask::Classifier { cls, labels } => {
-                let class = cls.predict_in(ws, store, prog);
+                let class = engine.classify(cls, prog);
                 let label = labels
                     .get(class)
                     .cloned()
@@ -238,21 +241,27 @@ impl LigerTask {
     }
 }
 
-/// Owns everything one sequential caller needs to query a trained model:
-/// the task, the trained parameters, the input vocabulary, and a
-/// persistent [`Workspace`] reused across calls.
+/// Everything a caller needs to query a trained model: the task, the
+/// input vocabulary, and one weight form — the trained f32 parameters, or
+/// the int8 ones of a quantized (`qparams`) bundle. Every method takes
+/// `&self` and builds a tape-free engine borrowing the weights, so one
+/// inferencer serves any number of threads without copying them.
 #[derive(Debug)]
 pub struct Inferencer {
     /// The trained model + head.
     pub task: LigerTask,
     /// The input vocabulary the model was trained against.
     pub vocab: Vocab,
-    /// The trained parameter values (dequantized for quantized bundles).
-    pub store: ParamStore,
-    /// The int8 engine, present when built from a quantized (`qparams`)
-    /// bundle: embed/name/classify then run dequantize-free.
-    pub engine: Option<QuantEngine>,
-    ws: Workspace,
+    weights: InferWeights,
+}
+
+/// The one weight form an [`Inferencer`] serves from.
+#[derive(Debug)]
+enum InferWeights {
+    /// Trained f32 parameters: bitwise equal to the tape.
+    F32(ParamStore),
+    /// Quantized int8/f16 parameters from a `qparams` bundle.
+    Int8(QuantStore),
 }
 
 impl Inferencer {
@@ -264,8 +273,16 @@ impl Inferencer {
     /// its declared architecture.
     pub fn from_bundle(bundle: &ModelBundle) -> Result<Inferencer, BundleError> {
         let (task, store) = bundle.instantiate()?;
-        let engine = bundle.qstore.clone().map(QuantEngine::from_store);
-        Ok(Inferencer { task, vocab: bundle.vocab.clone(), store, engine, ws: Workspace::new() })
+        let weights = match &bundle.qstore {
+            Some(qs) => InferWeights::Int8(qs.clone()),
+            None => InferWeights::F32(store),
+        };
+        Ok(Inferencer { task, vocab: bundle.vocab.clone(), weights })
+    }
+
+    /// Whether this inferencer runs the int8 engine.
+    pub fn is_quantized(&self) -> bool {
+        matches!(self.weights, InferWeights::Int8(_))
     }
 
     /// Encodes MiniLang source against this model's vocabulary.
@@ -281,55 +298,34 @@ impl Inferencer {
         extract_encoded(source, &self.vocab, opts)
     }
 
-    /// The program embedding 𝓗_P (int8 path when quantized).
-    pub fn embed(&mut self, prog: &EncodedProgram) -> Vec<f32> {
-        match &mut self.engine {
-            Some(engine) => engine.embed(self.task.model(), prog),
-            None => self.task.embed_in(&mut self.ws, &self.store, prog),
+    /// Program embeddings 𝓗_P for a minibatch, batch-major.
+    pub fn embed_batch(&self, progs: &[&EncodedProgram]) -> Vec<Vec<f32>> {
+        let model = self.task.model();
+        match &self.weights {
+            InferWeights::F32(store) => FloatEngine::new(store).embed_batch(model, progs),
+            InferWeights::Int8(qs) => QuantEngine::new(qs).embed_batch(model, progs),
         }
     }
 
-    /// Program embeddings for a minibatch: the fused batch-major encoder
-    /// for f32 models, the int8 engine per program when quantized.
-    pub fn embed_batch(&mut self, progs: &[&EncodedProgram]) -> Vec<Vec<f32>> {
-        match &mut self.engine {
-            Some(engine) => {
-                let model = self.task.model();
-                progs.iter().map(|p| engine.embed(model, p)).collect()
-            }
-            None => self.task.embed_batch_in(&mut self.ws, &self.store, progs),
-        }
+    /// The program embedding 𝓗_P.
+    pub fn embed(&self, prog: &EncodedProgram) -> Vec<f32> {
+        self.embed_batch(&[prog]).pop().expect("one embedding per program")
     }
 
     /// Predicted method-name sub-tokens; `None` for classifier bundles.
-    pub fn name(&mut self, prog: &EncodedProgram) -> Option<Vec<String>> {
-        if let Some(engine) = &mut self.engine {
-            return match &self.task {
-                LigerTask::Namer { namer, out } => {
-                    Some(out.decode_name(&engine.name(namer, prog)))
-                }
-                LigerTask::Classifier { .. } => None,
-            };
+    pub fn name(&self, prog: &EncodedProgram) -> Option<Vec<String>> {
+        match &self.weights {
+            InferWeights::F32(store) => self.task.name_with(&mut FloatEngine::new(store), prog),
+            InferWeights::Int8(qs) => self.task.name_with(&mut QuantEngine::new(qs), prog),
         }
-        self.task.name_in(&mut self.ws, &self.store, prog)
     }
 
     /// Predicted class id and label; `None` for namer bundles.
-    pub fn classify(&mut self, prog: &EncodedProgram) -> Option<(usize, String)> {
-        if let Some(engine) = &mut self.engine {
-            return match &self.task {
-                LigerTask::Namer { .. } => None,
-                LigerTask::Classifier { cls, labels } => {
-                    let class = engine.classify(cls, prog);
-                    let label = labels
-                        .get(class)
-                        .cloned()
-                        .unwrap_or_else(|| format!("class{class}"));
-                    Some((class, label))
-                }
-            };
+    pub fn classify(&self, prog: &EncodedProgram) -> Option<(usize, String)> {
+        match &self.weights {
+            InferWeights::F32(store) => self.task.classify_with(&mut FloatEngine::new(store), prog),
+            InferWeights::Int8(qs) => self.task.classify_with(&mut QuantEngine::new(qs), prog),
         }
-        self.task.classify_in(&mut self.ws, &self.store, prog)
     }
 }
 
@@ -372,7 +368,7 @@ mod tests {
     }
 
     #[test]
-    fn task_embedding_matches_offline_memoized_encoder() {
+    fn task_embedding_matches_the_tape_encoder() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(3);
         let cfg = LigerConfig { hidden: 6, attn: 6, ..LigerConfig::default() };
@@ -390,19 +386,26 @@ mod tests {
             &mut rng,
         );
 
-        let task = LigerTask::Namer { namer, out };
+        let task = LigerTask::Namer { namer, out: out.clone() };
         let mut ws = Workspace::new();
-        // Two calls on the same workspace: both must equal the reference.
-        for _ in 0..2 {
-            let served = task.embed_in(&mut ws, &store, &prog(1));
-            let mut g = Graph::new();
-            let reference = namer.model.encode(&mut g, &store, &prog(1));
-            let ref_bits: Vec<u32> =
-                g.value(reference.program).data().iter().map(|v| v.to_bits()).collect();
-            let served_bits: Vec<u32> = served.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(served_bits, ref_bits);
+        let served = task.embed_in(&mut ws, &store, &prog(1));
+        let mut g = Graph::new();
+        let reference = namer.model.encode(&mut g, &store, &prog(1));
+        let ref_bits: Vec<u32> =
+            g.value(reference.program).data().iter().map(|v| v.to_bits()).collect();
+        let served_bits: Vec<u32> = served.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(served_bits, ref_bits);
+        let want = out.decode_name(&namer.predict(&store, &prog(1)));
+        assert_eq!(task.name_in(&mut ws, &store, &prog(1)), Some(want));
+
+        let mut vocab = Vocab::new();
+        for i in 1..12 {
+            vocab.add(&format!("t{i}"));
         }
-        assert!(task.name_in(&mut ws, &store, &prog(1)).is_some());
-        assert!(task.classify_in(&mut ws, &store, &prog(1)).is_none());
+        let bundle = ModelBundle::for_namer(cfg, vocab, out, store);
+        let inf = Inferencer::from_bundle(&bundle).unwrap();
+        assert!(!inf.is_quantized());
+        assert_eq!(inf.embed(&prog(1)), served);
+        assert!(inf.classify(&prog(1)).is_none());
     }
 }

@@ -383,8 +383,7 @@ impl LigerModel {
 
     /// The fusion layer for one ordered pair (step `j` of a blended
     /// trace): statement/state feature embeddings combined under a₁
-    /// attention weights (even at `j == 0` or under ablations). Shared
-    /// verbatim by the per-program and batch-major encode paths.
+    /// attention weights (even at `j == 0` or under ablations).
     #[allow(clippy::too_many_arguments)]
     fn fuse_step(
         &self,
@@ -430,143 +429,6 @@ impl LigerModel {
             }
             ctx
         }
-    }
-
-    /// Batch-major [`LigerModel::encode`]: encodes a whole minibatch of
-    /// programs in one graph, advancing every blended trace in lockstep so
-    /// that each flow step `j` runs the f₃ recurrence for *all* active
-    /// traces as two fused GEMM panels (`W·X` and `V·H`) instead of
-    /// per-trace matvecs.
-    ///
-    /// Each output row of the batched step is `tanh((W·x + V·h) + b)`
-    /// with the exact per-element operation order of the fused
-    /// [`RnnCell::step`] gate, so every program's embedding, flow states,
-    /// and attention record are **bitwise identical** to a sequence of
-    /// per-program [`LigerModel::encode_memo`] calls (forward values; the
-    /// proptest in `tests/kernel_properties.rs` pins this down). Gradient
-    /// accumulation order across programs *would* differ, so the batched
-    /// path is forward-only: serving, eval, and benches use it; trainers
-    /// keep the per-program tape.
-    pub fn encode_batch(
-        &self,
-        ws: &mut Workspace,
-        store: &ParamStore,
-        progs: &[&EncodedProgram],
-    ) -> Vec<EncoderOutput> {
-        let _span = obs::span!("encode.batch");
-        obs::counter!("encode.programs").add(progs.len() as u64);
-        let g = &mut ws.graph;
-
-        // Merge every program's pool into one batch-level pool: identical
-        // statements/states across programs collapse onto one interned id,
-        // so the single shared memo below replays an embedding computed
-        // for program A when program B needs the same structure. The
-        // replayed span is the exact tape a fresh computation would push
-        // (embeddings depend only on structure + parameters), so this
-        // keeps the bitwise contract while cutting cross-program
-        // recomputation the per-program encoder cannot see.
-        let mut pool = EncPool::new();
-        let mut memo = EmbedMemo::default();
-
-        struct Lane {
-            prog: usize,
-            steps: Vec<EncStepRef>,
-            h: VarId,
-            states: Vec<VarId>,
-            attn: Vec<f32>,
-        }
-        let mut lanes: Vec<Lane> = Vec::new();
-        for (pi, prog) in progs.iter().enumerate() {
-            let (tree_map, state_map) = pool.absorb(&prog.pool);
-            for blended in &prog.traces {
-                if !blended.steps.is_empty() {
-                    let steps = blended
-                        .steps
-                        .iter()
-                        .map(|s| EncStepRef {
-                            tree: tree_map[s.tree.0 as usize],
-                            states: s.states.iter().map(|st| state_map[st.0 as usize]).collect(),
-                        })
-                        .collect();
-                    lanes.push(Lane {
-                        prog: pi,
-                        steps,
-                        h: self.f3.zero_state(g),
-                        states: Vec::new(),
-                        attn: Vec::new(),
-                    });
-                }
-            }
-        }
-
-        let w = g.param(store, self.f3.w);
-        let v = g.param(store, self.f3.v);
-        let b = g.param(store, self.f3.b);
-        let max_len = lanes.iter().map(|l| l.steps.len()).max().unwrap_or(0);
-        let mut xs: Vec<VarId> = Vec::with_capacity(lanes.len());
-        let mut hs: Vec<VarId> = Vec::with_capacity(lanes.len());
-        let mut active: Vec<usize> = Vec::with_capacity(lanes.len());
-        for j in 0..max_len {
-            xs.clear();
-            hs.clear();
-            active.clear();
-            for (li, lane) in lanes.iter_mut().enumerate() {
-                if j >= lane.steps.len() {
-                    continue;
-                }
-                let h_prev = lane.h;
-                let step = lane.steps[j].clone();
-                let h_j = self.fuse_step(
-                    g,
-                    store,
-                    &pool,
-                    &step,
-                    h_prev,
-                    j,
-                    Some(&mut memo),
-                    &mut lane.attn,
-                );
-                xs.push(h_j);
-                hs.push(h_prev);
-                active.push(li);
-            }
-            if active.is_empty() {
-                break;
-            }
-            let xp = g.pack(&xs);
-            let hp = g.pack(&hs);
-            let wx = g.affine_batch(w, xp, None);
-            let vh = g.affine_batch(v, hp, None);
-            let s = g.add(wx, vh);
-            let sb = g.add_rows(s, b);
-            let t = g.tanh(sb);
-            for (row, &li) in active.iter().enumerate() {
-                let h_new = g.batch_item(t, row);
-                lanes[li].h = h_new;
-                lanes[li].states.push(h_new);
-            }
-        }
-
-        // Reassemble per-program outputs in trace order so flow states and
-        // the attention record match the per-program encode exactly.
-        let mut outs: Vec<EncoderOutput> = Vec::with_capacity(progs.len());
-        for pi in 0..progs.len() {
-            let mut flow: Vec<Vec<VarId>> = Vec::new();
-            let mut finals: Vec<VarId> = Vec::new();
-            let mut static_attention: Vec<f32> = Vec::new();
-            for lane in lanes.iter_mut().filter(|l| l.prog == pi) {
-                finals.push(*lane.states.last().expect("non-empty lane has a final state"));
-                flow.push(std::mem::take(&mut lane.states));
-                static_attention.append(&mut lane.attn);
-            }
-            let program = if finals.is_empty() {
-                g.zeros(self.cfg.hidden, 1)
-            } else {
-                g.max_pool(&finals)
-            };
-            outs.push(EncoderOutput { program, flow, static_attention });
-        }
-        outs
     }
 }
 
@@ -792,62 +654,6 @@ mod tests {
             }
             // Any program with this much repetition must hit the memo.
             assert!(ws.replays() > 0, "{ablation:?}: memo never replayed");
-        }
-    }
-
-    #[test]
-    fn batched_encode_is_bitwise_identical_to_per_program() {
-        for ablation in
-            [Ablation::Full, Ablation::NoStatic, Ablation::NoDynamic, Ablation::NoAttention]
-        {
-            let (store, m) = model(ablation);
-            // Ragged lane lengths (and one empty program) on purpose: the
-            // lockstep active set shrinks as short traces finish.
-            let progs = vec![
-                tiny_program(3, 4, 2),
-                tiny_program(1, 2, 1),
-                EncodedProgram::default(),
-                tiny_program(2, 6, 3),
-            ];
-            let bits = |t: &tensor::Tensor| {
-                t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            };
-
-            let mut ws = Workspace::new();
-            let mut want = Vec::new();
-            for p in &progs {
-                ws.reset();
-                let out = m.encode_memo(&mut ws, &store, p);
-                let flow_bits: Vec<Vec<Vec<u32>>> = out
-                    .flow
-                    .iter()
-                    .map(|tr| tr.iter().map(|&h| bits(ws.graph.value(h))).collect())
-                    .collect();
-                want.push((
-                    bits(ws.graph.value(out.program)),
-                    flow_bits,
-                    out.static_attention,
-                ));
-            }
-
-            let mut wsb = Workspace::new();
-            let refs: Vec<&EncodedProgram> = progs.iter().collect();
-            let outs = m.encode_batch(&mut wsb, &store, &refs);
-            assert_eq!(outs.len(), progs.len());
-            for (pi, (out, (emb, flow, attn))) in outs.iter().zip(&want).enumerate() {
-                assert_eq!(
-                    &bits(wsb.graph.value(out.program)),
-                    emb,
-                    "{ablation:?} prog {pi}: program embedding diverged"
-                );
-                assert_eq!(&out.static_attention, attn, "{ablation:?} prog {pi}");
-                let got_flow: Vec<Vec<Vec<u32>>> = out
-                    .flow
-                    .iter()
-                    .map(|tr| tr.iter().map(|&h| bits(wsb.graph.value(h))).collect())
-                    .collect();
-                assert_eq!(&got_flow, flow, "{ablation:?} prog {pi}: flow states diverged");
-            }
         }
     }
 }

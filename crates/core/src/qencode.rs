@@ -1,33 +1,32 @@
-//! Tape-free inference engines: the f32 batch-major fast path and the
-//! int8 runtime behind `--quantize` checkpoints (DESIGN.md §2f).
+//! The tape-free inference engine: every forward-only request — f32 or
+//! int8 — runs here (DESIGN.md §2f). The autodiff tape is for training.
 //!
-//! Training needs the autodiff tape; inference does not. This module
-//! mirrors the Figure 5 forward pass — TreeLSTM statement embeddings,
-//! f₁/f₂ state embeddings, a₁ fusion attention, the f₃ flow recurrence,
-//! max-pooling, plus the decoder/classifier heads — over plain `Vec<f32>`
-//! activations. The pass is written once, generic over how weights are
-//! read ([`EngineWeights`]), and instantiated twice:
+//! This module mirrors the Figure 5 forward pass — TreeLSTM statement
+//! embeddings, f₁/f₂ state embeddings, a₁ fusion attention, the f₃ flow
+//! recurrence, max-pooling, plus the decoder/classifier heads — over plain
+//! `Vec<f32>` activations. The pass is written once, generic over how
+//! weights are read ([`EngineWeights`]), and batch-major: one program is
+//! a batch of one. [`Engine::encode_batch`] merges every program's pool
+//! (so structurally identical statements/states memoize *across*
+//! programs), makes every blended trace a lane, and advances the f₃ flow
+//! recurrence for all live lanes in lockstep — one [`EngineWeights::panel`]
+//! per weight matrix per step. Two weight forms instantiate it:
 //!
-//! * [`FloatEngine`] reads f32 parameters and dispatches every weight
-//!   product to the same blocked kernel as the tape
-//!   ([`tensor::Tensor::matvec_slice`]), with the same per-element
-//!   combine order at every step — so its outputs are **bitwise
-//!   identical** to `LigerModel::encode` on the tape, with none of the
-//!   tape's node/arena bookkeeping. [`FloatEngine::encode_batch`] runs
-//!   the f₃ flow recurrence batch-major: one [`tensor::gemm_batch`]
-//!   panel per weight matrix per lockstep across every live trace in
-//!   the minibatch (each output row bitwise identical to the
-//!   per-program matvec — the `gemm_batch` reduction-order contract).
+//! * [`FloatEngine`] reads borrowed f32 parameters and routes every
+//!   product through [`tensor::gemm_batch`], whose output rows are bitwise
+//!   equal to the tape's blocked matvec, with the same per-element combine
+//!   order at every step — so its outputs are **bitwise identical** to
+//!   `LigerModel::encode` on the tape, for any batch composition.
 //!
-//! * [`QuantEngine`] dispatches every weight-matrix product to
-//!   [`QuantMat::matvec_quant`]: the int8 codes are consumed directly
-//!   (per-row absmax scales, exact i32 accumulation), never dequantized
-//!   to a f32 matrix. Biases and probe vectors are f16-stored f32. Its
-//!   arithmetic is *not* bitwise-equal to the f32 path — quantization is
-//!   lossy by design. The contract, enforced by tests here and the
-//!   quickstart accuracy gate in `scripts/ci.sh`, is behavioural: served
-//!   embeddings stay within a cosine-similarity bound of f32 and task
-//!   accuracy stays within one point.
+//! * [`QuantEngine`] runs one [`QuantMat::matvec_quant`] per panel row:
+//!   the int8 codes are consumed directly (per-row absmax scales, exact i32
+//!   accumulation), never dequantized to a f32 matrix. Biases and probe
+//!   vectors are f16-stored f32. Its arithmetic is *not* bitwise-equal to
+//!   the f32 path — quantization is lossy by design. The contract,
+//!   enforced by tests here and the quickstart accuracy gate in
+//!   `scripts/ci.sh`, is behavioural: served embeddings stay within a
+//!   cosine-similarity bound of f32 and task accuracy stays within one
+//!   point. Batch and per-program int8 results are bitwise equal.
 //!
 //! [`QuantMat::matvec_quant`]: tensor::tensor::QuantMat::matvec_quant
 
@@ -58,9 +57,9 @@ impl QuantEncoding {
 }
 
 /// Memo of statement/state embeddings keyed by interned pool ids. Spans
-/// one engine call (or one merged minibatch pool in
-/// [`FloatEngine::encode_batch`], where structurally identical trees
-/// across *different* programs intern to the same id and hit).
+/// one [`Engine::encode_batch`] call over its merged pool, where
+/// structurally identical trees across *different* programs intern to the
+/// same id and hit.
 #[derive(Default)]
 struct EngineMemo {
     trees: HashMap<TreeId, (Vec<f32>, Vec<f32>)>,
@@ -70,8 +69,12 @@ struct EngineMemo {
 /// How an engine reads model weights: the only seam between the f32 and
 /// int8 instantiations of the shared forward pass.
 pub trait EngineWeights {
-    /// One weight product `W·x (+ b)` with this representation's kernel.
-    fn matvec(&mut self, w: ParamId, x: &[f32], bias: Option<ParamId>) -> Vec<f32>;
+    /// The panel product `W·xⱼ (+ b)` for each of the `k` rows packed in
+    /// `xs`, written to the matching rows of `out` (`k × rows(w)`).
+    fn panel(&mut self, w: ParamId, xs: &[f32], k: usize, bias: Option<ParamId>, out: &mut [f32]);
+
+    /// Output rows of weight matrix `w`.
+    fn rows(&self, w: ParamId) -> usize;
 
     /// A stored vector parameter (bias or attention probe) as f32.
     fn vecf(&self, id: ParamId) -> &[f32];
@@ -84,20 +87,24 @@ pub trait EngineWeights {
 }
 
 /// f32 weights read straight from the training [`ParamStore`]; every
-/// product runs the tape's blocked kernel, so the engine is bitwise
-/// identical to the tape forward pass.
+/// product runs the packed kernel, so the engine is bitwise identical to
+/// the tape forward pass.
 #[derive(Debug, Clone, Copy)]
 pub struct FloatWeights<'a> {
     store: &'a ParamStore,
 }
 
 impl EngineWeights for FloatWeights<'_> {
-    fn matvec(&mut self, w: ParamId, x: &[f32], bias: Option<ParamId>) -> Vec<f32> {
+    fn panel(&mut self, w: ParamId, xs: &[f32], k: usize, bias: Option<ParamId>, out: &mut [f32]) {
         obs::counter!("tensor.gemm.dispatch_f32").inc();
+        obs::counter!("tensor.gemm.batched_rows").add(k as u64);
         let m = &self.store.get(w).value;
-        let mut out = vec![0.0; m.rows()];
-        m.matvec_slice(x, bias.map(|id| self.store.get(id).value.data()), &mut out);
-        out
+        let b = bias.map(|id| self.store.get(id).value.data());
+        tensor::gemm_batch(m.data(), m.rows(), m.cols(), xs, k, b, out);
+    }
+
+    fn rows(&self, w: ParamId) -> usize {
+        self.store.get(w).value.rows()
     }
 
     fn vecf(&self, id: ParamId) -> &[f32] {
@@ -115,23 +122,28 @@ impl EngineWeights for FloatWeights<'_> {
     }
 }
 
-/// Quantized parameters (int8 matrices + f16-stored vectors) plus the
-/// reusable input-quantization scratch.
+/// Borrowed quantized parameters (int8 matrices + f16-stored vectors)
+/// plus the engine's own input-quantization scratch.
 #[derive(Debug, Clone)]
-pub struct QuantWeights {
-    /// Quantized parameters, indexed by the source store's [`ParamId`]s.
-    pub qs: QuantStore,
+pub struct QuantWeights<'a> {
+    qs: &'a QuantStore,
     xq: Vec<i8>,
 }
 
-impl EngineWeights for QuantWeights {
-    fn matvec(&mut self, w: ParamId, x: &[f32], bias: Option<ParamId>) -> Vec<f32> {
+impl EngineWeights for QuantWeights<'_> {
+    fn panel(&mut self, w: ParamId, xs: &[f32], k: usize, bias: Option<ParamId>, out: &mut [f32]) {
         obs::counter!("tensor.gemm.dispatch_int8").inc();
         let m = self.qs.mat(w);
-        let mut out = vec![0.0; m.rows()];
         let b = bias.map(|id| self.qs.vecf(id));
-        m.matvec_quant(x, &mut self.xq, b, &mut out);
-        out
+        assert_eq!(xs.len(), k * m.cols(), "panel input length mismatch");
+        assert_eq!(out.len(), k * m.rows(), "panel output length mismatch");
+        for (x, o) in xs.chunks_exact(m.cols()).zip(out.chunks_exact_mut(m.rows())) {
+            m.matvec_quant(x, &mut self.xq, b, o);
+        }
+    }
+
+    fn rows(&self, w: ParamId) -> usize {
+        self.qs.mat(w).rows()
     }
 
     fn vecf(&self, id: ParamId) -> &[f32] {
@@ -148,32 +160,23 @@ impl EngineWeights for QuantWeights {
 }
 
 /// A tape-free inference engine over some weight representation.
-#[derive(Debug, Clone)]
+/// Engines borrow their weights, so building one per call is free.
+#[derive(Debug)]
 pub struct Engine<W> {
     weights: W,
 }
 
 /// The int8 inference engine (see module docs).
-pub type QuantEngine = Engine<QuantWeights>;
+pub type QuantEngine<'a> = Engine<QuantWeights<'a>>;
 
 /// The bitwise-exact f32 inference engine (see module docs).
 pub type FloatEngine<'a> = Engine<FloatWeights<'a>>;
 
-impl QuantEngine {
-    /// Quantizes a trained f32 store (quantize-at-save; the on-disk form
-    /// is [`tensor::save_store_quantized`]).
-    pub fn new(store: &ParamStore) -> QuantEngine {
-        QuantEngine::from_store(QuantStore::quantize(store))
-    }
-
-    /// Wraps an already-loaded quantized store.
-    pub fn from_store(qs: QuantStore) -> QuantEngine {
+impl<'a> QuantEngine<'a> {
+    /// Wraps a borrowed quantized store (quantize-at-save; the on-disk
+    /// form is [`tensor::save_store_quantized`]).
+    pub fn new(qs: &'a QuantStore) -> QuantEngine<'a> {
         Engine { weights: QuantWeights { qs, xq: Vec::new() } }
-    }
-
-    /// The quantized parameters this engine runs on.
-    pub fn qs(&self) -> &QuantStore {
-        &self.weights.qs
     }
 }
 
@@ -182,130 +185,14 @@ impl<'a> FloatEngine<'a> {
     pub fn new(store: &'a ParamStore) -> FloatEngine<'a> {
         Engine { weights: FloatWeights { store } }
     }
-
-    /// Batch-major [`Engine::encode`] over a whole minibatch: every
-    /// program's pool is merged into one (so structurally identical
-    /// statements/states memoize *across* programs), every blended trace
-    /// becomes a lane, and the f₃ flow recurrence advances all live lanes
-    /// in lockstep — two [`tensor::gemm_batch`] panels (`W·X` and `V·H`)
-    /// per step instead of per-lane matvecs. Each panel row is bitwise
-    /// identical to the per-program matvec, and the combine
-    /// `tanh((wx + vh) + b)` matches the fused gate's per-element order,
-    /// so every returned encoding is bitwise identical to a sequence of
-    /// [`Engine::encode`] (and therefore tape `encode`) calls.
-    pub fn encode_batch(
-        &mut self,
-        model: &LigerModel,
-        progs: &[&EncodedProgram],
-    ) -> Vec<QuantEncoding> {
-        let _span = obs::span!("encode.f32_batch");
-        let hidden = model.cfg.hidden;
-
-        struct Lane {
-            prog: usize,
-            steps: Vec<EncStepRef>,
-            h: Vec<f32>,
-            states: Vec<Vec<f32>>,
-        }
-
-        let mut pool = EncPool::new();
-        let mut memo = EngineMemo::default();
-        let mut lanes: Vec<Lane> = Vec::new();
-        for (pi, prog) in progs.iter().enumerate() {
-            self.weights.count_program();
-            let (tree_map, state_map) = pool.absorb(&prog.pool);
-            for trace in &prog.traces {
-                if trace.steps.is_empty() {
-                    continue;
-                }
-                let steps = trace
-                    .steps
-                    .iter()
-                    .map(|s| EncStepRef {
-                        tree: tree_map[s.tree.0 as usize],
-                        states: s.states.iter().map(|st| state_map[st.0 as usize]).collect(),
-                    })
-                    .collect();
-                lanes.push(Lane { prog: pi, steps, h: vec![0.0; hidden], states: Vec::new() });
-            }
-        }
-
-        let max_len = lanes.iter().map(|l| l.steps.len()).max().unwrap_or(0);
-        // Cloned out of the store so the panels below don't hold a borrow
-        // of `self` across the `&mut self` fusion calls (hidden² floats).
-        let w = self.weights.store.get(model.f3.w).value.clone();
-        let v = self.weights.store.get(model.f3.v).value.clone();
-        let b = self.weights.store.get(model.f3.b).value.data().to_vec();
-        let (mut xs, mut hs) = (Vec::new(), Vec::new());
-        let (mut wx, mut vh) = (Vec::new(), Vec::new());
-        for j in 0..max_len {
-            let live: Vec<usize> =
-                (0..lanes.len()).filter(|&li| j < lanes[li].steps.len()).collect();
-            // Fusion layer per lane (memoized against the merged pool),
-            // packed as the rows of the step's input panel.
-            xs.clear();
-            hs.clear();
-            for &li in &live {
-                let step = lanes[li].steps[j].clone();
-                let h_prev = lanes[li].h.clone();
-                let h_j = self.fuse_step(model, &pool, &step, &h_prev, j, &mut memo);
-                xs.extend_from_slice(&h_j);
-                hs.extend_from_slice(&h_prev);
-            }
-            // The batched f₃ step: one fused GEMM per weight matrix for
-            // every live lane at once.
-            let k = live.len();
-            let _gspan = obs::span!("tensor.gemm");
-            obs::counter!("tensor.gemm.dispatch_f32").add(2);
-            obs::counter!("tensor.gemm.batched_rows").add(2 * k as u64);
-            wx.resize(k * hidden, 0.0);
-            vh.resize(k * hidden, 0.0);
-            tensor::gemm_batch(w.data(), hidden, hidden, &xs, k, None, &mut wx);
-            tensor::gemm_batch(v.data(), hidden, hidden, &hs, k, None, &mut vh);
-            for (r, &li) in live.iter().enumerate() {
-                let lane = &mut lanes[li];
-                for (i, hv) in lane.h.iter_mut().enumerate() {
-                    *hv = ((wx[r * hidden + i] + vh[r * hidden + i]) + b[i]).tanh();
-                }
-                lane.states.push(lane.h.clone());
-            }
-        }
-
-        // Reassemble per program: flow states per trace, program embedding
-        // as the elementwise max over its traces' final states (the same
-        // fold as the tape's max_pool).
-        let mut out: Vec<QuantEncoding> = progs
-            .iter()
-            .map(|_| QuantEncoding { program: Vec::new(), flow: Vec::new() })
-            .collect();
-        for lane in lanes {
-            let enc = &mut out[lane.prog];
-            let h_final = lane.states.last().expect("non-empty lane has a final state");
-            if enc.program.is_empty() {
-                enc.program = h_final.clone();
-            } else {
-                for (o, &x) in enc.program.iter_mut().zip(h_final) {
-                    if x > *o {
-                        *o = x;
-                    }
-                }
-            }
-            enc.flow.push(lane.states);
-        }
-        for enc in &mut out {
-            if enc.program.is_empty() {
-                enc.program = vec![0.0; hidden];
-            }
-        }
-        out
-    }
 }
 
 impl<W: EngineWeights> Engine<W> {
-    /// One weight product `W·x (+ b)`; the only way weights are read on
-    /// the per-program path.
+    /// One weight product `W·x (+ b)`: a panel of one row.
     fn matvec(&mut self, w: ParamId, x: &[f32], bias: Option<ParamId>) -> Vec<f32> {
-        self.weights.matvec(w, x, bias)
+        let mut out = vec![0.0; self.weights.rows(w)];
+        self.weights.panel(w, x, 1, bias, &mut out);
+        out
     }
 
     /// `act(W·x + V·h + b)` — the tape-free analogue of the fused gate
@@ -332,21 +219,24 @@ impl<W: EngineWeights> Engine<W> {
 
     /// Additive attention: softmax-normalised scores of `keys` against
     /// `query`, returning (context, weights). Mirrors the tape's batched
-    /// `attend` kernel-for-kernel: per-key affine (bias folded into the
-    /// accumulator like `gemm_batch`), tanh·probe reduction in index
-    /// order, max-subtracted softmax with a division, and the weighted
-    /// sum accumulated key-ascending from zeros.
+    /// `attend` kernel-for-kernel: one affine panel over every
+    /// `[key; query]` row (bias folded into the accumulator), tanh·probe
+    /// reduction in index order, max-subtracted softmax with a division,
+    /// and the weighted sum accumulated key-ascending from zeros.
     fn attend(&mut self, attn: &AttentionScorer, query: &[f32], keys: &[Vec<f32>]) -> (Vec<f32>, Vec<f32>) {
-        let mut scores = Vec::with_capacity(keys.len());
-        let mut cat = Vec::with_capacity(keys[0].len() + query.len());
+        let mut cat = Vec::with_capacity(keys.len() * (keys[0].len() + query.len()));
         for k in keys {
-            cat.clear();
             cat.extend_from_slice(k);
             cat.extend_from_slice(query);
-            let t = self.matvec(attn.proj.w, &cat, Some(attn.proj.b));
-            let probe = self.weights.vecf(attn.v);
-            scores.push(t.iter().zip(probe).map(|(a, b)| a.tanh() * b).sum::<f32>());
         }
+        let m = self.weights.rows(attn.proj.w);
+        let mut t = vec![0.0; keys.len() * m];
+        self.weights.panel(attn.proj.w, &cat, keys.len(), Some(attn.proj.b), &mut t);
+        let probe = self.weights.vecf(attn.v);
+        let scores: Vec<f32> = t
+            .chunks_exact(m)
+            .map(|row| row.iter().zip(probe).map(|(a, b)| a.tanh() * b).sum::<f32>())
+            .collect();
         let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0f32;
         let mut weights: Vec<f32> = scores
@@ -492,45 +382,115 @@ impl<W: EngineWeights> Engine<W> {
         }
     }
 
-    /// Encodes one program (all blended traces) through the tape-free
-    /// Figure 5 pipeline.
-    pub fn encode(&mut self, model: &LigerModel, prog: &EncodedProgram) -> QuantEncoding {
+    /// Encodes a minibatch of programs (all blended traces each) through
+    /// the tape-free Figure 5 pipeline. Every program's pool is merged
+    /// into one, every blended trace becomes a lane, and the f₃ flow
+    /// recurrence advances all live lanes in lockstep: two panels (`W·X`
+    /// and `V·H`) per step, combined as `tanh((wx + vh) + b)` — the fused
+    /// gate's per-element order. Each program's encoding is independent
+    /// of the rest of the batch.
+    pub fn encode_batch(&mut self, model: &LigerModel, progs: &[&EncodedProgram]) -> Vec<QuantEncoding> {
         let _span = obs::span!("encode.engine");
-        self.weights.count_program();
-        let mut memo = EngineMemo::default();
-        let mut flow: Vec<Vec<Vec<f32>>> = Vec::new();
-        let mut finals: Vec<Vec<f32>> = Vec::new();
-        for blended in &prog.traces {
-            if blended.steps.is_empty() {
-                continue;
-            }
-            let mut h = vec![0.0; model.cfg.hidden];
-            let mut states = Vec::with_capacity(blended.steps.len());
-            for (j, step) in blended.steps.iter().enumerate() {
-                let h_j = self.fuse_step(model, &prog.pool, step, &h, j, &mut memo);
-                h = self.gate(model.f3.w, &h_j, model.f3.v, &h, model.f3.b, Act::Tanh);
-                states.push(h.clone());
-            }
-            finals.push(h);
-            flow.push(states);
+        let hidden = model.cfg.hidden;
+
+        struct Lane {
+            prog: usize,
+            steps: Vec<EncStepRef>,
+            h: Vec<f32>,
+            states: Vec<Vec<f32>>,
         }
-        let program = match finals.first() {
-            None => vec![0.0; model.cfg.hidden],
-            Some(first) => {
-                // Same fold as the tape's max_pool: keep the incumbent on
-                // ties, take the challenger only when strictly greater.
-                let mut out = first.clone();
-                for f in &finals[1..] {
-                    for (o, &v) in out.iter_mut().zip(f) {
-                        if v > *o {
-                            *o = v;
-                        }
+
+        let mut pool = EncPool::new();
+        let mut memo = EngineMemo::default();
+        let mut lanes: Vec<Lane> = Vec::new();
+        for (pi, prog) in progs.iter().enumerate() {
+            self.weights.count_program();
+            let (tree_map, state_map) = pool.absorb(&prog.pool);
+            for trace in &prog.traces {
+                if trace.steps.is_empty() {
+                    continue;
+                }
+                let steps = trace
+                    .steps
+                    .iter()
+                    .map(|s| EncStepRef {
+                        tree: tree_map[s.tree.0 as usize],
+                        states: s.states.iter().map(|st| state_map[st.0 as usize]).collect(),
+                    })
+                    .collect();
+                lanes.push(Lane { prog: pi, steps, h: vec![0.0; hidden], states: Vec::new() });
+            }
+        }
+
+        let max_len = lanes.iter().map(|l| l.steps.len()).max().unwrap_or(0);
+        let (mut xs, mut hs) = (Vec::new(), Vec::new());
+        let (mut wx, mut vh) = (Vec::new(), Vec::new());
+        for j in 0..max_len {
+            let live: Vec<usize> =
+                (0..lanes.len()).filter(|&li| j < lanes[li].steps.len()).collect();
+            // Fusion layer per lane (memoized against the merged pool),
+            // packed as the rows of the step's input panel.
+            xs.clear();
+            hs.clear();
+            for &li in &live {
+                let lane = &lanes[li];
+                let h_j = self.fuse_step(model, &pool, &lane.steps[j], &lane.h, j, &mut memo);
+                xs.extend_from_slice(&h_j);
+                hs.extend_from_slice(&lane.h);
+            }
+            let k = live.len();
+            wx.resize(k * hidden, 0.0);
+            vh.resize(k * hidden, 0.0);
+            self.weights.panel(model.f3.w, &xs, k, None, &mut wx);
+            self.weights.panel(model.f3.v, &hs, k, None, &mut vh);
+            let b = self.weights.vecf(model.f3.b);
+            for (r, &li) in live.iter().enumerate() {
+                let lane = &mut lanes[li];
+                for (i, hv) in lane.h.iter_mut().enumerate() {
+                    *hv = ((wx[r * hidden + i] + vh[r * hidden + i]) + b[i]).tanh();
+                }
+                lane.states.push(lane.h.clone());
+            }
+        }
+
+        // Reassemble per program: flow states per trace, program embedding
+        // as the elementwise max over its traces' final states (the same
+        // fold as the tape's max_pool: keep the incumbent on ties, take
+        // the challenger only when strictly greater).
+        let mut out: Vec<QuantEncoding> = progs
+            .iter()
+            .map(|_| QuantEncoding { program: Vec::new(), flow: Vec::new() })
+            .collect();
+        for lane in lanes {
+            let enc = &mut out[lane.prog];
+            let h_final = lane.states.last().expect("non-empty lane has a final state");
+            if enc.program.is_empty() {
+                enc.program = h_final.clone();
+            } else {
+                for (o, &x) in enc.program.iter_mut().zip(h_final) {
+                    if x > *o {
+                        *o = x;
                     }
                 }
-                out
             }
-        };
-        QuantEncoding { program, flow }
+            enc.flow.push(lane.states);
+        }
+        for enc in &mut out {
+            if enc.program.is_empty() {
+                enc.program = vec![0.0; hidden];
+            }
+        }
+        out
+    }
+
+    /// [`Engine::encode_batch`] of one program.
+    pub fn encode(&mut self, model: &LigerModel, prog: &EncodedProgram) -> QuantEncoding {
+        self.encode_batch(model, &[prog]).pop().expect("one encoding per program")
+    }
+
+    /// The program embeddings 𝓗_P of a minibatch.
+    pub fn embed_batch(&mut self, model: &LigerModel, progs: &[&EncodedProgram]) -> Vec<Vec<f32>> {
+        self.encode_batch(model, progs).into_iter().map(|e| e.program).collect()
     }
 
     /// The program embedding 𝓗_P alone.
@@ -621,15 +581,18 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
 mod tests {
     use super::*;
     use crate::encode::{EncBlended, EncState, EncStep, EncTree, EncVar};
-    use crate::model::{LigerConfig, Workspace};
+    use crate::model::LigerConfig;
     use crate::train::{train_namer, NameSample, TrainConfig};
     use crate::vocab::EOS;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tensor::Graph;
 
-    fn prog(token: usize) -> EncodedProgram {
-        EncodedProgram::from_traces(vec![EncBlended {
+    const ABLATIONS: [Ablation; 4] =
+        [Ablation::Full, Ablation::NoStatic, Ablation::NoDynamic, Ablation::NoAttention];
+
+    fn blended(token: usize) -> EncBlended {
+        EncBlended {
             steps: vec![
                 EncStep {
                     tree: EncTree {
@@ -645,67 +608,103 @@ mod tests {
                     states: vec![EncState { vars: vec![EncVar::Primitive(token)] }],
                 },
             ],
-        }])
+        }
+    }
+
+    fn prog(token: usize) -> EncodedProgram {
+        EncodedProgram::from_traces(vec![blended(token)])
+    }
+
+    /// Ragged batch: different step and trace counts, a shared-structure
+    /// repeat, and an empty program in the middle.
+    fn ragged_batch() -> Vec<EncodedProgram> {
+        let mut short = blended(3);
+        short.steps.truncate(1);
+        let two_traces = EncodedProgram::from_traces(vec![blended(5), short]);
+        vec![prog(1), two_traces, EncodedProgram::default(), prog(1), prog(14)]
+    }
+
+    fn model(seed: u64, vocab: usize, ablation: Ablation) -> (ParamStore, LigerModel) {
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cfg = LigerConfig { hidden: 12, attn: 12, ablation, ..LigerConfig::default() };
+        let model = LigerModel::new(&mut store, vocab, cfg, &mut rng);
+        (store, model)
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    fn encoding_bits(enc: &QuantEncoding) -> (Vec<u32>, Vec<Vec<Vec<u32>>>) {
+        let flow = enc.flow.iter().map(|tr| tr.iter().map(|s| bits(s)).collect()).collect();
+        (bits(&enc.program), flow)
+    }
+
     #[test]
     fn f32_engine_is_bitwise_identical_to_tape() {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(31);
-        let cfg = LigerConfig { hidden: 12, attn: 12, ..LigerConfig::default() };
-        let model = LigerModel::new(&mut store, 16, cfg, &mut rng);
-        let mut engine = FloatEngine::new(&store);
-        for t in [1usize, 4, 7] {
-            let p = prog(t);
-            let mut g = Graph::new();
-            let tape = model.encode(&mut g, &store, &p);
-            let enc = engine.encode(&model, &p);
-            assert_eq!(
-                bits(g.value(tape.program).data()),
-                bits(&enc.program),
-                "program embedding diverged for program {t}"
-            );
-            for (trace_t, trace_e) in tape.flow.iter().zip(&enc.flow) {
-                for (s_t, s_e) in trace_t.iter().zip(trace_e) {
-                    assert_eq!(bits(g.value(*s_t).data()), bits(s_e), "flow state diverged");
-                }
+        for ablation in ABLATIONS {
+            let (store, model) = model(31, 16, ablation);
+            let mut engine = FloatEngine::new(&store);
+            for t in [1usize, 4, 7] {
+                let p = prog(t);
+                let mut g = Graph::new();
+                let tape = model.encode(&mut g, &store, &p);
+                let tape_flow: Vec<Vec<Vec<u32>>> = tape
+                    .flow
+                    .iter()
+                    .map(|tr| tr.iter().map(|&s| bits(g.value(s).data())).collect())
+                    .collect();
+                assert_eq!(
+                    encoding_bits(&engine.encode(&model, &p)),
+                    (bits(g.value(tape.program).data()), tape_flow),
+                    "{ablation:?}: program {t} diverged from the tape"
+                );
             }
         }
     }
 
     #[test]
     fn f32_engine_batch_matches_per_program_bitwise() {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(32);
-        let cfg = LigerConfig { hidden: 12, attn: 12, ..LigerConfig::default() };
-        let model = LigerModel::new(&mut store, 24, cfg, &mut rng);
-        // Ragged batch: different step counts, a shared-structure repeat,
-        // and an empty program in the middle.
-        let progs = [prog(1), prog(9), EncodedProgram::default(), prog(1), prog(14)];
-        let refs: Vec<&EncodedProgram> = progs.iter().collect();
-        let mut engine = FloatEngine::new(&store);
-        let batched = engine.encode_batch(&model, &refs);
-        assert_eq!(batched.len(), progs.len());
-        for (p, enc_b) in progs.iter().zip(&batched) {
-            let enc_p = engine.encode(&model, p);
-            assert_eq!(bits(&enc_p.program), bits(&enc_b.program), "program embedding");
-            assert_eq!(enc_p.flow.len(), enc_b.flow.len(), "trace count");
-            for (trace_p, trace_b) in enc_p.flow.iter().zip(&enc_b.flow) {
-                for (s_p, s_b) in trace_p.iter().zip(trace_b) {
-                    assert_eq!(bits(s_p), bits(s_b), "flow state");
-                }
+        for ablation in ABLATIONS {
+            let (store, model) = model(32, 24, ablation);
+            let progs = ragged_batch();
+            let refs: Vec<&EncodedProgram> = progs.iter().collect();
+            let mut engine = FloatEngine::new(&store);
+            let batched = engine.encode_batch(&model, &refs);
+            assert_eq!(batched.len(), progs.len());
+            for (i, (p, enc_b)) in progs.iter().zip(&batched).enumerate() {
+                assert_eq!(
+                    encoding_bits(&engine.encode(&model, p)),
+                    encoding_bits(enc_b),
+                    "{ablation:?}: program {i} depends on its batch"
+                );
             }
         }
     }
 
     #[test]
-    fn f32_engine_namer_and_classifier_match_tape_predictions() {
+    fn int8_engine_batch_matches_per_program_bitwise() {
+        for ablation in ABLATIONS {
+            let (store, model) = model(34, 24, ablation);
+            let qs = QuantStore::quantize(&store);
+            let progs = ragged_batch();
+            let refs: Vec<&EncodedProgram> = progs.iter().collect();
+            let mut engine = QuantEngine::new(&qs);
+            let batched = engine.encode_batch(&model, &refs);
+            for (i, (p, enc_b)) in progs.iter().zip(&batched).enumerate() {
+                assert_eq!(
+                    encoding_bits(&engine.encode(&model, p)),
+                    encoding_bits(enc_b),
+                    "{ablation:?}: int8 program {i} depends on its batch"
+                );
+            }
+        }
+    }
+
+    fn trained_namer(seed: u64) -> (ParamStore, LigerNamer, Vec<NameSample>) {
         let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(33);
+        let mut rng = StdRng::seed_from_u64(seed);
         let cfg = LigerConfig { hidden: 10, attn: 10, ..LigerConfig::default() };
         let namer = LigerNamer::new(&mut store, 16, 8, cfg, &mut rng);
         let samples = vec![
@@ -719,21 +718,46 @@ mod tests {
             &TrainConfig { epochs: 40, lr: 0.03, batch_size: 2 },
             &mut rng,
         );
-        let mut ws = Workspace::new();
+        (store, namer, samples)
+    }
+
+    fn trained_classifier() -> (ParamStore, LigerClassifier) {
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(24);
+        let cfg = LigerConfig { hidden: 8, attn: 8, ..LigerConfig::default() };
+        let model = LigerModel::new(&mut store, 16, cfg, &mut rng);
+        let cls = LigerClassifier::new(&mut store, model, 3, &mut rng);
+        let mut adam = nn::Adam::new(0.05);
+        for _ in 0..40 {
+            for (p, label) in [(prog(1), 0usize), (prog(6), 2usize)] {
+                let mut g = Graph::new();
+                let loss = cls.loss(&mut g, &store, &p, label);
+                g.backward(loss, &mut store);
+                adam.step(&mut store);
+            }
+        }
+        (store, cls)
+    }
+
+    #[test]
+    fn f32_engine_namer_and_classifier_match_tape_predictions() {
+        let (store, namer, samples) = trained_namer(33);
         let mut engine = FloatEngine::new(&store);
         for s in &samples {
-            let f32_name = namer.predict_in(&mut ws, &store, &s.program);
-            assert_eq!(engine.name(&namer, &s.program), f32_name);
+            assert_eq!(engine.name(&namer, &s.program), namer.predict(&store, &s.program));
+        }
+        let (store, cls) = trained_classifier();
+        let mut engine = FloatEngine::new(&store);
+        for p in [prog(1), prog(6), prog(9)] {
+            assert_eq!(engine.classify(&cls, &p), cls.predict(&store, &p));
         }
     }
 
     #[test]
     fn quantized_embedding_tracks_f32_embedding() {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(21);
-        let cfg = LigerConfig { hidden: 12, attn: 12, ..LigerConfig::default() };
-        let model = LigerModel::new(&mut store, 16, cfg, &mut rng);
-        let mut engine = QuantEngine::new(&store);
+        let (store, model) = model(21, 16, Ablation::Full);
+        let qs = QuantStore::quantize(&store);
+        let mut engine = QuantEngine::new(&qs);
         for t in [1usize, 4, 7] {
             let p = prog(t);
             let mut g = Graph::new();
@@ -747,73 +771,39 @@ mod tests {
 
     #[test]
     fn empty_program_embeds_to_zeros() {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(22);
-        let cfg = LigerConfig { hidden: 6, attn: 6, ..LigerConfig::default() };
-        let model = LigerModel::new(&mut store, 8, cfg, &mut rng);
-        let mut engine = QuantEngine::new(&store);
-        assert_eq!(engine.embed(&model, &EncodedProgram::default()), vec![0.0; 6]);
+        let (store, model) = model(22, 8, Ablation::Full);
+        let qs = QuantStore::quantize(&store);
+        assert_eq!(QuantEngine::new(&qs).embed(&model, &EncodedProgram::default()), vec![0.0; 12]);
+        assert_eq!(FloatEngine::new(&store).embed(&model, &EncodedProgram::default()), vec![0.0; 12]);
     }
 
     #[test]
     fn quantized_namer_matches_f32_on_trained_model() {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(23);
-        let cfg = LigerConfig { hidden: 10, attn: 10, ..LigerConfig::default() };
-        let namer = LigerNamer::new(&mut store, 16, 8, cfg, &mut rng);
-        let samples = vec![
-            NameSample { program: prog(1), target: vec![4, 5, EOS] },
-            NameSample { program: prog(6), target: vec![6, EOS] },
-        ];
-        train_namer(
-            &namer,
-            &mut store,
-            &samples,
-            &TrainConfig { epochs: 40, lr: 0.03, batch_size: 2 },
-            &mut rng,
-        );
-        let mut engine = QuantEngine::new(&store);
-        let mut ws = Workspace::new();
+        let (store, namer, samples) = trained_namer(23);
+        let qs = QuantStore::quantize(&store);
+        let mut engine = QuantEngine::new(&qs);
         for s in &samples {
-            let f32_name = namer.predict_in(&mut ws, &store, &s.program);
-            assert_eq!(engine.name(&namer, &s.program), f32_name);
+            assert_eq!(engine.name(&namer, &s.program), namer.predict(&store, &s.program));
         }
     }
 
     #[test]
     fn quantized_classifier_matches_f32_on_trained_model() {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(24);
-        let cfg = LigerConfig { hidden: 8, attn: 8, ..LigerConfig::default() };
-        let model = LigerModel::new(&mut store, 16, cfg, &mut rng);
-        let cls = LigerClassifier::new(&mut store, model, 3, &mut rng);
-        let (a, b) = (prog(1), prog(6));
-        let mut adam = nn::Adam::new(0.05);
-        for _ in 0..40 {
-            for (p, label) in [(&a, 0usize), (&b, 2usize)] {
-                let mut g = Graph::new();
-                let loss = cls.loss(&mut g, &store, p, label);
-                g.backward(loss, &mut store);
-                adam.step(&mut store);
-            }
+        let (store, cls) = trained_classifier();
+        let qs = QuantStore::quantize(&store);
+        let mut engine = QuantEngine::new(&qs);
+        for p in [prog(1), prog(6)] {
+            assert_eq!(engine.classify(&cls, &p), cls.predict(&store, &p));
         }
-        let mut engine = QuantEngine::new(&store);
-        assert_eq!(engine.classify(&cls, &a), cls.predict(&store, &a));
-        assert_eq!(engine.classify(&cls, &b), cls.predict(&store, &b));
     }
 
     #[test]
     fn engine_roundtrips_through_quantized_checkpoint() {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(25);
-        let cfg = LigerConfig { hidden: 8, attn: 8, ..LigerConfig::default() };
-        let model = LigerModel::new(&mut store, 12, cfg, &mut rng);
-        let mut engine = QuantEngine::new(&store);
-        let bytes = tensor::save_store_quantized(engine.qs());
-        let mut reloaded =
-            QuantEngine::from_store(tensor::load_store_quantized(&bytes).unwrap());
+        let (store, model) = model(25, 12, Ablation::Full);
+        let qs = QuantStore::quantize(&store);
+        let reloaded = tensor::load_store_quantized(&tensor::save_store_quantized(&qs)).unwrap();
         let p = prog(2);
-        assert_eq!(engine.embed(&model, &p), reloaded.embed(&model, &p));
+        assert_eq!(QuantEngine::new(&qs).embed(&model, &p), QuantEngine::new(&reloaded).embed(&model, &p));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The [`Searcher`] trait abstracts *candidate generation*: given a
 //! normalized query, produce the top rows by cosine similarity. The
-//! exact searcher scores every stored row through the batch-major
+//! exact searcher scores every stored row through the
 //! [`tensor::cosine_scores`] kernel; the ANN searcher
 //! ([`crate::ann::AnnGraph`]) walks a small-world graph and is swapped
 //! in above a corpus-size threshold by [`crate::Index`]. Ranking on top

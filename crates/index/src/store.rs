@@ -2,10 +2,9 @@
 //! lists, keyed by content hash.
 //!
 //! The store keeps every vector in one contiguous row-major matrix so
-//! brute-force search can run batch-major over it with
-//! [`tensor::gemm_batch`] (via [`tensor::cosine_scores`]) instead of a
-//! per-entry dot-product loop. Vectors are L2-normalized at insert time,
-//! turning every similarity into a plain dot product.
+//! brute-force search is one [`tensor::cosine_scores`] sweep over it.
+//! Vectors are L2-normalized at insert time, turning every similarity
+//! into a plain dot product.
 //!
 //! Keys are the serve routing hash (FNV-1a over program structure), so
 //! one program has one entry no matter how often it is re-indexed:

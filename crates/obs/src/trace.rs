@@ -431,11 +431,13 @@ mod tests {
         let _guard = TRACE_TEST_LOCK.lock().unwrap();
         set_enabled(Some(true));
         reset();
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let _s = crate::span!("test.worker");
-            });
-        });
+        // A plain join, not `thread::scope`: a scope may return before the
+        // worker's thread-local destructors (which do the flush) have run.
+        std::thread::spawn(|| {
+            let _s = crate::span!("test.worker");
+        })
+        .join()
+        .unwrap();
         let data = drain();
         set_enabled(None);
         assert!(data.events.iter().any(|e| name_of(&data, e.path) == "test.worker"));

@@ -6,7 +6,7 @@
 //!  (frames)    (epoll, edge-style    (bounded          (one per shard:
 //!               readiness; per-conn   sync_channel      coalesce ≤ batch_max
 //!               state machines,       per shard,        or batch_timeout_ms,
-//!               admission control)    hash-routed)      persistent Workspaces)
+//!               admission control)    hash-routed)      one shared Inferencer)
 //!                      ▲                                      │
 //!                      └────── completions + eventfd wake ────┘
 //! ```
@@ -24,9 +24,9 @@
 //!   the shard, keeping the loop thread I/O-only): routing depends only
 //!   on the request, never on load or timing, so batch *composition* is
 //!   workload-determined while results stay bitwise identical to the
-//!   offline memoized encoder regardless of shard count (workspaces
-//!   reset per program). Each shard owns a bounded queue, a persistent
-//!   [`Workspace`] pool, and its own `serve.shard{i}.*` instruments.
+//!   training tape's forward pass regardless of shard count. Each shard
+//!   owns a bounded queue and its own `serve.shard{i}.*` instruments; all
+//!   shards read one [`Inferencer`].
 //! - **Backpressure & admission control.** A full shard queue yields the
 //!   BUSY reply (retry soon). *Before* any queue is touched, admission
 //!   control sheds work with the distinct SHED reply: connections over
@@ -41,9 +41,9 @@
 //!   read its replies is force-closed once the drain deadline
 //!   (`drain_deadline_ms`) passes, so one stalled client cannot hang
 //!   [`ServerHandle::join`] forever.
-//! - **Determinism.** Inference uses the memoized encoder on a reset
-//!   workspace, so served embeddings are bitwise identical to the
-//!   offline `EncodeMode::Memoized` path for every shard count and
+//! - **Determinism.** Inference runs the tape-free engine, whose f32
+//!   results are a pure function of the program — bitwise identical to
+//!   the training tape's `LigerModel::encode` for every shard count and
 //!   batch shape (proptest-gated in `tests/serve_properties.rs`).
 
 use crate::conn::Conn;
@@ -56,10 +56,7 @@ use crate::protocol::{
 };
 use crate::stats::{ServeStats, StatsSnapshot};
 use index::{Index, IndexConfig, IndexStats, SearchOptions};
-use liger::{
-    extract_encoded, CanonEncoder, EncodedProgram, ExtractOptions, LigerTask, ModelBundle,
-    QuantEngine, Vocab, Workspace,
-};
+use liger::{CanonEncoder, EncodedProgram, ExtractOptions, Inferencer, ModelBundle};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -100,8 +97,8 @@ pub struct ServerConfig {
     /// written back on graceful shutdown, atomically.
     pub index_path: Option<std::path::PathBuf>,
     /// Root of the content-addressed artifact store (`LGRS1`). Shard
-    /// workers resolve embedding requests through it before the fused
-    /// GEMM pass: a hit skips the forward pass entirely, and every
+    /// workers resolve embedding requests through it before the batched
+    /// forward pass: a hit skips the forward pass entirely, and every
     /// entry is stamped with the bundle's fingerprint so a swapped
     /// checkpoint reads as a miss, never a stale embedding.
     pub store_path: Option<std::path::PathBuf>,
@@ -128,12 +125,9 @@ impl Default for ServerConfig {
 /// Model state shared by every thread (read-only after startup, except
 /// the shutdown flag and the completion queue).
 struct Shared {
-    task: LigerTask,
-    store: tensor::ParamStore,
-    /// Present for quantized (`qparams`) bundles: each shard worker
-    /// clones it into a private [`QuantEngine`] and serves the int8 path.
-    qstore: Option<tensor::QuantStore>,
-    vocab: Vocab,
+    /// The model, its vocabulary, and its f32 or int8 weights; every
+    /// shard thread borrows it.
+    infer: Inferencer,
     extract: ExtractOptions,
     stats: ServeStats,
     /// The embedding index behind the `index` / `search` / `similar`
@@ -164,14 +158,6 @@ struct Shared {
     completions: Mutex<Vec<Completion>>,
     /// Nudges the event loop when completions land (or on shutdown).
     waker: Waker,
-}
-
-/// Persistent per-worker inference state: the f32 workspace (arena +
-/// memo reuse across batches) and, for quantized bundles, the int8
-/// engine with its quantization scratch.
-struct WorkerCtx {
-    ws: Workspace,
-    engine: Option<QuantEngine>,
 }
 
 /// One queued unit of shard work, addressed back to its connection.
@@ -230,14 +216,14 @@ enum ReadyOp {
 }
 
 impl ReadyOp {
-    /// Whether this op's forward pass is the fused embed panel.
+    /// Whether this op's forward pass is the batched embed call.
     fn needs_embedding(self) -> bool {
         !matches!(self, ReadyOp::Infer(InferKind::Name | InferKind::Classify))
     }
 }
 
 /// An inference job resolved to its encoded program on the shard
-/// thread, ready for the batcher's fused/fan-out paths.
+/// thread, ready for the batcher's batched/fan-out paths.
 struct Ready {
     op: ReadyOp,
     prog: EncodedProgram,
@@ -411,8 +397,7 @@ fn open_index(
 /// declared architecture or a configured index file is unusable, the
 /// bind error, or the poller setup error.
 pub fn serve(bundle: &ModelBundle, config: ServerConfig) -> io::Result<ServerHandle> {
-    let (task, store) = bundle
-        .instantiate()
+    let infer = Inferencer::from_bundle(bundle)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     let idx = open_index(bundle, config.index_path.as_deref())?;
     let astore = match config.store_path.as_deref() {
@@ -441,10 +426,7 @@ pub fn serve(bundle: &ModelBundle, config: ServerConfig) -> io::Result<ServerHan
     let inner_cap = (par::threads() / shards).max(1);
 
     let shared = Arc::new(Shared {
-        task,
-        store,
-        qstore: bundle.qstore.clone(),
-        vocab: bundle.vocab.clone(),
+        infer,
         extract: config.extract.clone(),
         stats: ServeStats::new(shards),
         index: Mutex::new(idx),
@@ -1073,7 +1055,7 @@ pub fn stats_response(
 }
 
 /// One shard's batcher: coalesces its queue into batches, fans each
-/// batch out across the shard's persistent worker pool, and posts the
+/// batch out across the shard's slice of the worker pool, and posts the
 /// replies to the event loop. Exits when the queue sender is gone
 /// **and** the queue is drained — `Receiver::recv` keeps returning
 /// buffered jobs after the sender disconnects, so accepted requests
@@ -1086,11 +1068,6 @@ fn shard_loop(
     timeout: Duration,
     inner_cap: usize,
 ) {
-    let mut workers: Vec<WorkerCtx> = Vec::new();
-    let new_ctx = || WorkerCtx {
-        ws: Workspace::new(),
-        engine: shared.qstore.clone().map(QuantEngine::from_store),
-    };
     let mut out: Vec<Completion> = Vec::new();
     loop {
         let first = match jobs.recv() {
@@ -1137,8 +1114,9 @@ fn shard_loop(
             };
             let extracted = match payload {
                 InferPayload::Encoded(prog) => Ok(*prog),
-                InferPayload::Source(src) => extract_encoded(&src, &shared.vocab, &shared.extract)
-                    .map_err(|e| e.to_string()),
+                InferPayload::Source(src) => {
+                    shared.infer.encode_source(&src, &shared.extract).map_err(|e| e.to_string())
+                }
                 // The canonical path: parse + canonicalize here, then
                 // serve the canonical form's encoding from the shared
                 // memo. A hit skips the whole trace-and-encode pass;
@@ -1149,7 +1127,7 @@ fn shard_loop(
                     .canon
                     .lock()
                     .expect("canon memo poisoned")
-                    .encode(&src, &shared.vocab, &shared.extract)
+                    .encode(&src, &shared.infer.vocab, &shared.extract)
                     .map(|c| c.encoded)
                     .map_err(|e| e.to_string()),
             };
@@ -1164,25 +1142,20 @@ fn shard_loop(
 
         // Embedding-consuming requests — `embed` itself plus `index` and
         // `search`, which post-process the same forward pass — take the
-        // fused batch-major path: all programs in the batch share one
-        // tape, so each layer runs a packed panel matmul
-        // (`Op::AffineBatch`) instead of per-program matvecs. Results
-        // stay bitwise identical to the per-program encoder, so the
-        // determinism contract above is unchanged. Name/Classify
-        // requests keep the per-program fan-out (decode is sequential
-        // per program anyway).
+        // batch-major path: all programs in the batch run one engine
+        // call, whose f₃ flow step is one packed panel product per weight
+        // matrix across every trace. Each result is independent of the
+        // batch, so the determinism contract above is unchanged.
+        // Name/Classify requests fan out per program (decode is
+        // sequential per program anyway).
         let (embeds, rest): (Vec<Ready>, Vec<Ready>) =
             ready.into_iter().partition(|job| job.op.needs_embedding());
 
         if !embeds.is_empty() {
-            if workers.is_empty() {
-                workers.push(new_ctx());
-            }
             obs::counter!("serve.fused_embed_batch").add(embeds.len() as u64);
-            let ctx = &mut workers[0];
             // Resolve cache hits through the artifact store first, keyed
             // by the routing content hash + bundle fingerprint. Hits drop
-            // out of the fused GEMM panel entirely; only misses are
+            // out of the batched forward pass entirely; only misses are
             // computed, and their results are written back. A corrupt
             // entry recomputes (counted) rather than failing the request.
             let mut cached: Vec<Option<Vec<f32>>> = vec![None; embeds.len()];
@@ -1204,17 +1177,7 @@ fn shard_loop(
                 (0..embeds.len()).filter(|&i| cached[i].is_none()).collect();
             let progs: Vec<&EncodedProgram> =
                 miss_idx.iter().map(|&i| &embeds[i].prog).collect();
-            let computed: Vec<Vec<f32>> = if progs.is_empty() {
-                Vec::new()
-            } else {
-                match &mut ctx.engine {
-                    Some(engine) => {
-                        let model = shared.task.model();
-                        progs.iter().map(|prog| engine.embed(model, prog)).collect()
-                    }
-                    None => shared.task.embed_batch_in(&mut ctx.ws, &shared.store, &progs),
-                }
-            };
+            let computed = shared.infer.embed_batch(&progs);
             if let Some(st) = &shared.astore {
                 for (&i, emb) in miss_idx.iter().zip(&computed) {
                     let payload = store::embedding_to_bytes(emb);
@@ -1261,9 +1224,9 @@ fn shard_loop(
             }
             let results = par::par_map_ordered_with_cap(
                 &inputs,
-                &mut workers,
-                new_ctx,
-                |ctx, _i, (kind, prog)| run_inference(shared, ctx, *kind, prog),
+                &mut Vec::new(),
+                || (),
+                |(), _i, (kind, prog)| run_inference(&shared.infer, *kind, prog),
                 inner_cap,
             );
             for ((slot, generation, seq, queued, kind), reply) in sinks.into_iter().zip(results) {
@@ -1283,73 +1246,25 @@ fn shard_loop(
     }
 }
 
-/// One forward pass. Resets the workspace first, so the result is a pure
-/// function of the program — bitwise identical to the offline memoized
-/// encoder no matter which shard, worker, or batch runs it. Quantized
-/// bundles dispatch to the worker's int8 engine instead (deterministic
-/// too: the integer accumulation is exact).
-fn run_inference(shared: &Shared, ctx: &mut WorkerCtx, kind: InferKind, prog: &EncodedProgram) -> Json {
+/// One forward pass through the shared [`Inferencer`]: a pure function
+/// of the program, no matter which shard, worker, or batch runs it.
+fn run_inference(infer: &Inferencer, kind: InferKind, prog: &EncodedProgram) -> Json {
     let _span = obs::span!("serve.infer");
-    if let Some(engine) = &mut ctx.engine {
-        return run_inference_quant(shared, engine, kind, prog);
-    }
-    let ws = &mut ctx.ws;
     match kind {
-        InferKind::Embed => {
-            let embedding = shared.task.embed_in(ws, &shared.store, prog);
-            ok_response(vec![("embedding", embedding_to_json(&embedding))])
-        }
-        InferKind::Name => match shared.task.name_in(ws, &shared.store, prog) {
+        InferKind::Embed => ok_response(vec![("embedding", embedding_to_json(&infer.embed(prog)))]),
+        InferKind::Name => match infer.name(prog) {
             Some(tokens) => ok_response(vec![(
                 "name",
                 Json::Arr(tokens.into_iter().map(Json::Str).collect()),
             )]),
             None => error_response("this bundle is a classifier; it cannot predict names"),
         },
-        InferKind::Classify => match shared.task.classify_in(ws, &shared.store, prog) {
+        InferKind::Classify => match infer.classify(prog) {
             Some((class, label)) => ok_response(vec![
                 ("class", Json::num(class)),
                 ("label", Json::str(label)),
             ]),
             None => error_response("this bundle is a namer; it cannot classify"),
-        },
-    }
-}
-
-/// [`run_inference`] through the dequantize-free int8 engine.
-fn run_inference_quant(
-    shared: &Shared,
-    engine: &mut QuantEngine,
-    kind: InferKind,
-    prog: &EncodedProgram,
-) -> Json {
-    match kind {
-        InferKind::Embed => {
-            let embedding = engine.embed(shared.task.model(), prog);
-            ok_response(vec![("embedding", embedding_to_json(&embedding))])
-        }
-        InferKind::Name => match &shared.task {
-            LigerTask::Namer { namer, out } => {
-                let tokens = out.decode_name(&engine.name(namer, prog));
-                ok_response(vec![(
-                    "name",
-                    Json::Arr(tokens.into_iter().map(Json::Str).collect()),
-                )])
-            }
-            LigerTask::Classifier { .. } => {
-                error_response("this bundle is a classifier; it cannot predict names")
-            }
-        },
-        InferKind::Classify => match &shared.task {
-            LigerTask::Namer { .. } => {
-                error_response("this bundle is a namer; it cannot classify")
-            }
-            LigerTask::Classifier { cls, labels } => {
-                let class = engine.classify(cls, prog);
-                let label =
-                    labels.get(class).cloned().unwrap_or_else(|| format!("class{class}"));
-                ok_response(vec![("class", Json::num(class)), ("label", Json::str(label))])
-            }
         },
     }
 }

@@ -1,11 +1,12 @@
 //! End-to-end loopback tests: a real TCP server on an ephemeral port,
 //! concurrent pipelining clients, and the two contracts the service
-//! promises — served embeddings are **bitwise identical** to the offline
-//! memoized path, and graceful shutdown drains every accepted request.
+//! promises — served embeddings and names are **bitwise identical** to
+//! the training tape's forward pass, and graceful shutdown drains every
+//! accepted request.
 
 use liger::{
     train_namer, EncBlended, EncState, EncStep, EncTree, EncVar, EncodedProgram, LigerConfig,
-    LigerNamer, LigerTask, ModelBundle, NameSample, OutVocab, TrainConfig, Vocab, Workspace,
+    LigerNamer, LigerTask, ModelBundle, NameSample, OutVocab, TrainConfig, Vocab,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,19 +67,27 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// The training tape's program embeddings, as bits: the reference every
+/// served embedding must match.
+fn tape_embeddings(bundle: &ModelBundle, programs: &[EncodedProgram]) -> Vec<Vec<u32>> {
+    let (task, store) = bundle.instantiate().unwrap();
+    programs
+        .iter()
+        .map(|p| {
+            let mut g = tensor::Graph::new();
+            let out = task.model().encode(&mut g, &store, p);
+            bits(g.value(out.program).data())
+        })
+        .collect()
+}
+
 #[test]
 fn concurrent_clients_get_bitwise_identical_embeddings_and_batching_kicks_in() {
     let bundle = trained_bundle();
 
-    // Offline reference: the memoized encoder on a reset workspace.
-    let (task, store) = bundle.instantiate().unwrap();
-    let mut ws = Workspace::new();
+    // Offline reference: the training tape.
     let programs: Vec<EncodedProgram> = (1..6).map(prog).collect();
-    let reference: Vec<Vec<u32>> = programs
-        .iter()
-        .map(|p| bits(&task.embed_in(&mut ws, &store, p)))
-        .collect();
-    let LigerTask::Namer { .. } = &task else { panic!("expected a namer bundle") };
+    let reference = tape_embeddings(&bundle, &programs);
 
     let handle = serve(
         &bundle,
@@ -142,9 +151,11 @@ fn concurrent_clients_get_bitwise_identical_embeddings_and_batching_kicks_in() {
     assert!(batches < requests, "batching never coalesced: {batches} batches for {requests}");
     assert_eq!(stats.get("queue_depth").and_then(Json::as_usize), Some(0));
 
-    // Name prediction is served too, and agrees with the offline task.
-    let mut ws2 = Workspace::new();
-    let offline_name = task.name_in(&mut ws2, &store, &programs[0]).unwrap();
+    // Name prediction is served too, and agrees with the tape's greedy
+    // decoder.
+    let (task, store) = bundle.instantiate().unwrap();
+    let LigerTask::Namer { namer, out } = &task else { panic!("expected a namer bundle") };
+    let offline_name = out.decode_name(&namer.predict(&store, &programs[0]));
     let reply = admin
         .call(&infer_request(InferKind::Name, &InferInput::Encoded(Box::new(programs[0].clone()))))
         .unwrap();
@@ -176,11 +187,12 @@ fn quantized_bundle_is_served_through_the_int8_engine() {
     // Offline references: the f32 embedding (for closeness) and the
     // int8 engine's own outputs (for exact agreement with serving).
     let (task, store) = bundle.instantiate().unwrap();
-    let mut ws = Workspace::new();
     let program = prog(2);
-    let f32_embedding = task.embed_in(&mut ws, &store, &program);
-    let mut offline = liger::Inferencer::from_bundle(&qbundle).unwrap();
-    assert!(offline.engine.is_some());
+    let mut g = tensor::Graph::new();
+    let out = task.model().encode(&mut g, &store, &program);
+    let f32_embedding = g.value(out.program).data().to_vec();
+    let offline = liger::Inferencer::from_bundle(&qbundle).unwrap();
+    assert!(offline.is_quantized());
     let engine_embedding = offline.embed(&program);
     let engine_name = offline.name(&program).unwrap();
 
@@ -257,14 +269,9 @@ fn lint_op_is_served_with_structured_diagnostics() {
 fn sharded_serving_is_bitwise_identical_to_single_shard_and_offline() {
     let bundle = trained_bundle();
 
-    // Offline reference: the memoized encoder on a reset workspace.
-    let (task, store) = bundle.instantiate().unwrap();
-    let mut ws = Workspace::new();
+    // Offline reference: the training tape.
     let programs: Vec<EncodedProgram> = (1..9).map(prog).collect();
-    let reference: Vec<Vec<u32>> = programs
-        .iter()
-        .map(|p| bits(&task.embed_in(&mut ws, &store, p)))
-        .collect();
+    let reference = tape_embeddings(&bundle, &programs);
 
     // Serve the same programs under 1 shard and 4 shards; all three
     // views must agree bitwise (the determinism contract: results are a

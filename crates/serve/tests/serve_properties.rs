@@ -10,9 +10,8 @@
 //!    disconnects (clean `Ok(0)` EOF with the partial frame detectable).
 //! 2. **Sharded serving determinism.** For random programs and random
 //!    shard counts, embeddings served through the event-loop front end
-//!    are bitwise identical to the offline memoized encoder
-//!    (`EncodeMode::Memoized` semantics: `Workspace::reset` + span
-//!    replay) — routing and batch composition never leak into results.
+//!    are bitwise identical to the training tape's `LigerModel::encode`
+//!    — routing and batch composition never leak into results.
 
 use proptest::prelude::*;
 use serve::json::Json;
@@ -26,7 +25,7 @@ use std::sync::OnceLock;
 
 use liger::{
     train_namer, EncBlended, EncState, EncStep, EncTree, EncVar, EncodedProgram, LigerConfig,
-    LigerNamer, ModelBundle, NameSample, OutVocab, TrainConfig, Vocab, Workspace,
+    LigerNamer, ModelBundle, NameSample, OutVocab, TrainConfig, Vocab,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -255,7 +254,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     #[test]
-    fn sharded_serving_is_bitwise_identical_to_offline_memoized(
+    fn sharded_serving_is_bitwise_identical_to_the_tape(
         token_sets in proptest::collection::vec(
             proptest::collection::vec(0usize..12, 1..=6),
             1..=10,
@@ -266,12 +265,15 @@ proptest! {
         let programs: Vec<EncodedProgram> =
             token_sets.iter().map(|t| prog_from(t)).collect();
 
-        // Offline reference: the memoized encoder on a reset workspace.
+        // Offline reference: the training tape.
         let (task, store) = bundle.instantiate().unwrap();
-        let mut ws = Workspace::new();
         let reference: Vec<Vec<u32>> = programs
             .iter()
-            .map(|p| bits(&task.embed_in(&mut ws, &store, p)))
+            .map(|p| {
+                let mut g = tensor::Graph::new();
+                let out = task.model().encode(&mut g, &store, p);
+                bits(g.value(out.program).data())
+            })
             .collect();
 
         let handle = serve(

@@ -117,8 +117,6 @@ enum Op {
     /// `w · xs[j,·] (+ b)`, all computed in one packed kernel call
     /// ([`crate::tensor::gemm_batch`]).
     AffineBatch { w: VarId, xs: VarId, b: Option<VarId> },
-    /// Adds a vector to every row of a panel.
-    AddRows(VarId, VarId),
     /// Per-row dot products of a `k × n` panel with an `n`-vector.
     RowDots(VarId, VarId),
     /// Extracts row `j` of a panel as a column vector.
@@ -677,25 +675,6 @@ impl Graph {
         self.push(Op::AffineBatch { w, xs, b }, Tensor::from_vec(k, m, out))
     }
 
-    /// Adds a vector to every row of a panel (bias broadcast for the
-    /// batched step: per row the combine is `row + b`, elementwise, like
-    /// the per-program [`Graph::add`]).
-    pub fn add_rows(&mut self, m: VarId, b: VarId) -> VarId {
-        let (rows, cols) = (self.values[m.0].rows(), self.values[m.0].cols());
-        assert_eq!(self.values[b.0].len(), cols, "add_rows bias length mismatch");
-        let mut data = self.buf(rows * cols);
-        {
-            let mv = self.values[m.0].data();
-            let bv = self.values[b.0].data();
-            for j in 0..rows {
-                for ((d, x), y) in data[j * cols..(j + 1) * cols].iter_mut().zip(&mv[j * cols..(j + 1) * cols]).zip(bv) {
-                    *d = x + y;
-                }
-            }
-        }
-        self.push(Op::AddRows(m, b), Tensor::from_vec(rows, cols, data))
-    }
-
     /// Per-row dot products of a panel with a vector, as a `k × 1`
     /// column — the batched attention-score reduction. Each row uses the
     /// same serial reduction as [`Graph::dot`].
@@ -822,7 +801,6 @@ impl Graph {
                     xs: shift(*xs),
                     b: b.map(shift),
                 },
-                Op::AddRows(m, b) => Op::AddRows(shift(*m), shift(*b)),
                 Op::RowDots(m, v) => Op::RowDots(shift(*m), shift(*v)),
                 Op::BatchItem(src, row) => Op::BatchItem(shift(*src), *row),
             };
@@ -1286,16 +1264,6 @@ fn backward_sweep(
                     table.recycle(gj);
                 }
                 table.acc_owned(*xs, dxs);
-            }
-            Op::AddRows(mv, b) => {
-                table.acc(*mv, &g);
-                let cols = values[i].cols();
-                for j in (0..values[i].rows()).rev() {
-                    let mut gj = table.fresh(cols, 1);
-                    gj.data_mut().copy_from_slice(&g.data()[j * cols..(j + 1) * cols]);
-                    table.acc(*b, &gj);
-                    table.recycle(gj);
-                }
             }
             Op::RowDots(mv, v) => {
                 let vv = &values[v.0];
@@ -2065,12 +2033,11 @@ mod tests {
 
     #[test]
     fn batched_attention_panel_matches_per_key_chain_bitwise() {
-        // add_rows + tanh-on-panel + row_dots vs the per-key
-        // add/tanh/dot/stack_scalars chain.
+        // tanh-on-panel + row_dots vs the per-key
+        // tanh/dot/stack_scalars chain.
         let (k, n) = (3, 5);
         let mut seed = 0xa77e;
         let mut store_f = ParamStore::new();
-        let b = store_f.add("b", Tensor::vector(lcg(&mut seed, n)));
         let v = store_f.add("v", Tensor::vector(lcg(&mut seed, n)));
         let key_ids: Vec<_> = (0..k)
             .map(|j| store_f.add(format!("k{j}"), Tensor::vector(lcg(&mut seed, n))))
@@ -2079,23 +2046,21 @@ mod tests {
         let probe = lcg(&mut seed, k);
 
         let mut gf = Graph::new();
-        let (bv, vv) = (gf.param(&store_f, b), gf.param(&store_f, v));
+        let vv = gf.param(&store_f, v);
         let keys: Vec<_> = key_ids.iter().map(|&p| gf.param(&store_f, p)).collect();
         let packed = gf.pack(&keys);
-        let shifted = gf.add_rows(packed, bv);
-        let panel = gf.tanh(shifted);
+        let panel = gf.tanh(packed);
         let scores_f = gf.row_dots(panel, vv);
         let pf = gf.input(Tensor::vector(probe.clone()));
         let lf = gf.dot(scores_f, pf);
         gf.backward(lf, &mut store_f);
 
         let mut gc = Graph::new();
-        let (bv, vv) = (gc.param(&store_c, b), gc.param(&store_c, v));
+        let vv = gc.param(&store_c, v);
         let mut dots = Vec::new();
         for &p in &key_ids {
             let kv = gc.param(&store_c, p);
-            let s = gc.add(kv, bv);
-            let t = gc.tanh(s);
+            let t = gc.tanh(kv);
             dots.push(gc.dot(t, vv));
         }
         let scores_c = gc.stack_scalars(&dots);
@@ -2104,7 +2069,7 @@ mod tests {
         gc.backward(lc, &mut store_c);
 
         assert_eq!(bits(gf.value(scores_f)), bits(gc.value(scores_c)), "scores");
-        for p in [b, v].into_iter().chain(key_ids) {
+        for p in std::iter::once(v).chain(key_ids) {
             assert_eq!(bits(&store_f.get(p).grad), bits(&store_c.get(p).grad));
         }
     }

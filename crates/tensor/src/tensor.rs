@@ -184,24 +184,6 @@ impl Tensor {
         matvec_blocked(&self.data, self.rows, self.cols, &x.data, Some(&b.data), out);
     }
 
-    /// `self · x (+ bias)` over raw slices — the same blocked kernel (and
-    /// therefore the same accumulation order, bitwise) as
-    /// [`Tensor::matvec_into`] / [`Tensor::affine_into`], without
-    /// requiring the operands to be wrapped in tensors. This is the
-    /// weight-product primitive of the tape-free inference engines.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn matvec_slice(&self, x: &[f32], bias: Option<&[f32]>, out: &mut [f32]) {
-        assert_eq!(self.cols, x.len(), "matvec_slice input length mismatch");
-        assert_eq!(out.len(), self.rows, "matvec_slice output length mismatch");
-        if let Some(b) = bias {
-            assert_eq!(b.len(), self.rows, "matvec_slice bias length mismatch");
-        }
-        matvec_blocked(&self.data, self.rows, self.cols, x, bias, out);
-    }
-
     /// Transposed matrix–vector product `selfᵀ · g`.
     ///
     /// # Panics
@@ -445,15 +427,15 @@ pub fn gemm_batch(
 }
 
 /// The embedding-index search kernel: similarity scores of `k` query
-/// vectors against a packed corpus matrix, batch-major over the stored
-/// rows. `out[j * rows + r]` is the dot product of query `j` with corpus
-/// row `r` — the cosine similarity when both sides are L2-normalized
-/// (the `EmbeddingStore` invariant).
+/// vectors against a packed corpus matrix. `out[j * rows + r]` is the dot
+/// product of query `j` with corpus row `r` — the cosine similarity when
+/// both sides are L2-normalized (the `EmbeddingStore` invariant).
 ///
-/// This is a thin entry point over [`gemm_batch`] with no bias, so
-/// search rides the same 4-row weight-panel streaming the fused encoder
-/// kernels use: each score is one independent dot product, making the
-/// result bitwise independent of corpus row order and batch shape.
+/// Every (query, row) pair is reduced by the same [`dot_unrolled`], so a
+/// score's bits depend only on the two vectors — never on where the row
+/// sits in the corpus or the query in the batch. (Routing this through
+/// [`gemm_batch`] with the corpus as the weight panel would not be: rows
+/// inside a four-row block and leftover rows reduce in different orders.)
 ///
 /// # Panics
 ///
@@ -467,7 +449,15 @@ pub fn cosine_scores(
     k: usize,
     out: &mut [f32],
 ) {
-    gemm_batch(matrix, rows, dim, queries, k, None, out);
+    assert_eq!(matrix.len(), rows * dim, "cosine_scores corpus length mismatch");
+    assert_eq!(queries.len(), k * dim, "cosine_scores query length mismatch");
+    assert_eq!(out.len(), k * rows, "cosine_scores output length mismatch");
+    for j in 0..k {
+        let q = &queries[j * dim..(j + 1) * dim];
+        for r in 0..rows {
+            out[j * rows + r] = dot_unrolled(&matrix[r * dim..(r + 1) * dim], q);
+        }
+    }
 }
 
 /// An int8-quantized matrix with per-row absmax scales: the storage and
@@ -694,13 +684,37 @@ mod tests {
         cosine_scores(&matrix, 3, 2, &queries, 2, &mut out);
         assert_eq!(&out[..3], &[1.0, 0.0, 0.6]);
         assert_eq!(&out[3..], &[0.0, -1.0, -0.8]);
-        // Row order must not change any individual score (no cross-row
-        // accumulation) — swap rows 0 and 2 and compare.
-        let swapped = [0.6, 0.8, 0.0, 1.0, 1.0, 0.0];
-        let mut out2 = [0.0f32; 6];
-        cosine_scores(&swapped, 3, 2, &queries, 2, &mut out2);
-        assert_eq!(out[0].to_bits(), out2[2].to_bits());
-        assert_eq!(out[2].to_bits(), out2[0].to_bits());
+    }
+
+    #[test]
+    fn cosine_scores_do_not_depend_on_row_or_query_position() {
+        // 6 rows: positions 0..4 form a full four-row block and 4..6 the
+        // leftover tail, so rotating the corpus moves every row across
+        // the block/tail boundary. dim 9 exercises the unrolled tail.
+        let (rows, dim, k) = (6, 9, 5);
+        let matrix = pseudo(rows, dim, 7).data().to_vec();
+        let queries = pseudo(k, dim, 8).data().to_vec();
+        let mut want = vec![0.0f32; k * rows];
+        cosine_scores(&matrix, rows, dim, &queries, k, &mut want);
+        for shift in 1..rows {
+            let perm: Vec<usize> = (0..rows).map(|r| (r + shift) % rows).collect();
+            let permuted: Vec<f32> =
+                perm.iter().flat_map(|&r| matrix[r * dim..(r + 1) * dim].to_vec()).collect();
+            let qperm: Vec<usize> = (0..k).map(|j| (j + shift) % k).collect();
+            let pq: Vec<f32> =
+                qperm.iter().flat_map(|&j| queries[j * dim..(j + 1) * dim].to_vec()).collect();
+            let mut got = vec![0.0f32; k * rows];
+            cosine_scores(&permuted, rows, dim, &pq, k, &mut got);
+            for (jp, &j) in qperm.iter().enumerate() {
+                for (rp, &r) in perm.iter().enumerate() {
+                    assert_eq!(
+                        got[jp * rows + rp].to_bits(),
+                        want[j * rows + r].to_bits(),
+                        "shift {shift}: query {j} row {r} changed bits"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -199,7 +199,7 @@ fn run(
     };
 
     // 6. Predict from the (possibly reloaded) checkpoint.
-    let mut inferencer = liger::Inferencer::from_bundle(&bundle)?;
+    let inferencer = liger::Inferencer::from_bundle(&bundle)?;
     let encoded = encode_program(&program, &blended, &inferencer.vocab, &opts);
     let predicted = inferencer.name(&encoded).expect("quickstart bundle is a namer");
     println!("\npredicted name sub-tokens: {predicted:?}");
@@ -236,8 +236,8 @@ fn run(
 
         bundle.save_quantized_to_path(CKPT_PATH)?;
         let qbundle = ModelBundle::load_from_path(CKPT_PATH)?;
-        let mut qinf = liger::Inferencer::from_bundle(&qbundle)?;
-        assert!(qinf.engine.is_some(), "quantized checkpoint did not produce an int8 engine");
+        let qinf = liger::Inferencer::from_bundle(&qbundle)?;
+        assert!(qinf.is_quantized(), "quantized checkpoint did not produce an int8 engine");
         let q_name = qinf.name(&encoded).expect("quantized bundle is a namer");
         let q_emb = qinf.embed(&encoded);
         let cos = liger::cosine(&f32_emb, &q_emb);

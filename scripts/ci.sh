@@ -38,7 +38,7 @@ cd "$(dirname "$0")/.."
 # liger-serve straight from target/release.
 cargo build --release --workspace
 cargo clippy --workspace --all-targets -- -D warnings
-cargo test -q
+cargo test --workspace -q
 LIGER_THREADS=2 cargo test -q --test autodiff_properties parallel_training_is_bitwise_deterministic
 LIGER_THREADS=2 cargo test -q --test autodiff_properties cached_training_is_bitwise_identical
 # Batch-major fused-GEMM equivalence + int8 roundtrip proptests, with the
@@ -188,8 +188,11 @@ fn total(limit: int) -> int {
     return acc;
 }
 EOF
-"$serve_bin" index "$idx_addr" --canon \
-    "$idx_dir/canon_for.ml" "$idx_dir/canon_while.ml" > "$idx_dir/canon.txt"
+# One request at a time: pipelined, the two variants route to different
+# shards and either may be inserted first.
+for variant in canon_for canon_while; do
+    "$serve_bin" index "$idx_addr" --canon "$idx_dir/$variant.ml" >> "$idx_dir/canon.txt"
+done
 cat "$idx_dir/canon.txt"
 canon_key=$(awk 'NR==1 {print $1}' "$idx_dir/canon.txt")
 canon_second=$(awk 'NR==2 {print $1, $2}' "$idx_dir/canon.txt")

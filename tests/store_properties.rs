@@ -172,7 +172,7 @@ fn embedding_roundtrips_bitwise_and_fingerprint_guards_staleness() {
         ModelBundle::for_namer(cfg, vocab.clone(), out.clone(), pstore)
     };
     let bundle = bundle_with_seed(17);
-    let mut inf = liger::Inferencer::from_bundle(&bundle).unwrap();
+    let inf = liger::Inferencer::from_bundle(&bundle).unwrap();
     let encoded = encode_program(&program, &blended, &inf.vocab, &opts);
     let emb = inf.embed(&encoded);
 
