@@ -17,8 +17,9 @@
 
 use crate::facts::{program_facts, ProgramFacts};
 use crate::lint::{self, Diagnostic, LintKind, LintReport};
-use minilang::Program;
-use store::{ArtifactKind, ByteReader, ByteWriter, Store, StoreError};
+use minilang::{Program, StmtId};
+use store::{ArtifactKind, Store, StoreError};
+use tensor::codec::{ByteReader, ByteWriter, DecodeError};
 
 /// Fingerprint stamped on cached facts artifacts. Bump when the codec
 /// or the analysis stack's observable output changes.
@@ -53,17 +54,13 @@ pub fn facts_to_bytes(facts: &ProgramFacts) -> Vec<u8> {
     let mut w = ByteWriter::new();
     let mut decided: Vec<_> = facts.decided.iter().map(|(&s, &b)| (s, b)).collect();
     decided.sort_unstable();
-    w.u32(decided.len() as u32);
-    for (stmt, taken) in decided {
-        w.stmt(stmt);
-        w.u8(u8::from(taken));
-    }
+    w.seq(&decided, |w, &(stmt, taken)| {
+        w.u32(stmt.0);
+        w.bool(taken);
+    });
     let mut reachable: Vec<_> = facts.reachable.iter().copied().collect();
     reachable.sort_unstable();
-    w.u32(reachable.len() as u32);
-    for stmt in reachable {
-        w.stmt(stmt);
-    }
+    w.seq(&reachable, |w, stmt| w.u32(stmt.0));
     w.u64(facts.num_blocks as u64);
     w.u64(facts.num_loops as u64);
     w.into_bytes()
@@ -77,26 +74,17 @@ pub fn facts_to_bytes(facts: &ProgramFacts) -> Vec<u8> {
 /// boolean tag.
 pub fn facts_from_bytes(buf: &[u8]) -> Result<ProgramFacts, StoreError> {
     let mut r = ByteReader::new(buf);
-    let ndecided = r.u32()? as usize;
-    let mut decided = std::collections::HashMap::with_capacity(ndecided.min(1 << 20));
-    for _ in 0..ndecided {
-        let stmt = r.stmt()?;
-        let taken = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(StoreError::BadRecord),
-        };
-        decided.insert(stmt, taken);
-    }
-    let nreach = r.u32()? as usize;
-    let mut reachable = std::collections::HashSet::with_capacity(nreach.min(1 << 20));
-    for _ in 0..nreach {
-        reachable.insert(r.stmt()?);
-    }
+    let decided = r.seq(5, |r| Ok::<_, DecodeError>((StmtId(r.u32()?), r.bool()?)))?;
+    let reachable = r.seq(4, |r| r.u32().map(StmtId))?;
     let num_blocks = usize::try_from(r.u64()?).map_err(|_| StoreError::BadRecord)?;
     let num_loops = usize::try_from(r.u64()?).map_err(|_| StoreError::BadRecord)?;
     r.finish()?;
-    Ok(ProgramFacts { decided, reachable, num_blocks, num_loops })
+    Ok(ProgramFacts {
+        decided: decided.into_iter().collect(),
+        reachable: reachable.into_iter().collect(),
+        num_blocks,
+        num_loops,
+    })
 }
 
 /// Serializes a lint report. Severity is derived from the kind, so only
@@ -104,13 +92,12 @@ pub fn facts_from_bytes(buf: &[u8]) -> Result<ProgramFacts, StoreError> {
 #[must_use]
 pub fn lint_to_bytes(report: &LintReport) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.u32(report.diagnostics.len() as u32);
-    for d in &report.diagnostics {
+    w.seq(&report.diagnostics, |w, d| {
         w.u8(kind_tag(d.kind));
-        w.stmt(d.stmt);
+        w.u32(d.stmt.0);
         w.u32(d.line);
         w.str(&d.message);
-    }
+    });
     w.into_bytes()
 }
 
@@ -122,16 +109,13 @@ pub fn lint_to_bytes(report: &LintReport) -> Vec<u8> {
 /// tag, or a non-UTF-8 message.
 pub fn lint_from_bytes(buf: &[u8]) -> Result<LintReport, StoreError> {
     let mut r = ByteReader::new(buf);
-    let n = r.u32()? as usize;
-    let mut diagnostics = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let tag = r.u8()? as usize;
-        let kind = *LINT_KINDS.get(tag).ok_or(StoreError::BadRecord)?;
-        let stmt = r.stmt()?;
+    let diagnostics = r.seq(13, |r| {
+        let kind = *LINT_KINDS.get(r.u8()? as usize).ok_or(DecodeError::BadRecord)?;
+        let stmt = StmtId(r.u32()?);
         let line = r.u32()?;
         let message = r.str()?;
-        diagnostics.push(Diagnostic { kind, severity: kind.severity(), stmt, line, message });
-    }
+        Ok::<_, DecodeError>(Diagnostic { kind, severity: kind.severity(), stmt, line, message })
+    })?;
     r.finish()?;
     Ok(LintReport { diagnostics })
 }
@@ -188,7 +172,6 @@ pub fn lint_with_store(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minilang::StmtId;
 
     fn sample_program() -> Program {
         let src = "fn f(n: int) -> int {\n\

@@ -28,7 +28,8 @@
 //! The header is line-oriented text (greppable, versioned by the `LGRB1`
 //! magic); the parameter payload embeds the binary checkpoint format
 //! verbatim, so `tensor`'s loader — with its duplicate-name and version
-//! checks — is reused unchanged.
+//! checks — is reused unchanged. Both halves read and write through
+//! `tensor::codec`, and saves replace the file atomically.
 //!
 //! [`ModelBundle::instantiate`] rebuilds the model structs by re-running
 //! parameter registration against a scratch store and verifying that
@@ -48,6 +49,7 @@ use crate::LigerClassifier;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
+use tensor::codec::{write_atomic, ByteReader, ByteWriter, DecodeError};
 use tensor::{
     load_store_binary, load_store_quantized, save_store_binary, save_store_quantized,
     ParamStore, QuantStore,
@@ -123,6 +125,12 @@ impl From<tensor::LoadError> for BundleError {
     }
 }
 
+impl From<DecodeError> for BundleError {
+    fn from(e: DecodeError) -> BundleError {
+        BundleError::Parse(format!("header: {e}"))
+    }
+}
+
 fn escape(token: &str) -> String {
     let mut out = String::new();
     for c in token.chars() {
@@ -138,6 +146,40 @@ fn escape(token: &str) -> String {
 
 fn unescape(token: &str) -> String {
     token.replace("%0A", "\n").replace("%0D", "\r").replace("%25", "%")
+}
+
+/// Reads a `<title> <n>` header line, `title` one of `titles`: the
+/// title's position in `titles`, and `n`.
+fn read_title(r: &mut ByteReader<'_>, titles: &[&str]) -> Result<(usize, usize), BundleError> {
+    let line = r.line()?;
+    line.rsplit_once(' ')
+        .and_then(|(title, n)| Some((titles.iter().position(|&t| t == title)?, n.parse().ok()?)))
+        .ok_or_else(|| BundleError::Parse(format!("expected a {titles:?} line, found {line:?}")))
+}
+
+/// Reads one header section: its title line, then `n` escaped token
+/// lines.
+fn read_section(
+    r: &mut ByteReader<'_>,
+    titles: &[&str],
+) -> Result<(usize, Vec<String>), BundleError> {
+    let (kind, n) = read_title(r, titles)?;
+    Ok((kind, r.repeat(n, 1, |r| r.line().map(unescape))?))
+}
+
+/// Rebuilds a vocabulary from its token lines: token `i` must get id
+/// `i`, so the reserved slots hold the tokens a fresh vocabulary
+/// pre-registers (`<UNK>`, and `<SOS>`/`<EOS>` for names) and no token
+/// repeats.
+fn check_ids(
+    what: &str,
+    tokens: &[String],
+    mut add: impl FnMut(&str) -> usize,
+) -> Result<(), BundleError> {
+    match tokens.iter().enumerate().find(|&(i, t)| add(t) != i) {
+        Some((i, t)) => Err(BundleError::Parse(format!("{what} token {t:?} cannot take id {i}"))),
+        None => Ok(()),
+    }
 }
 
 impl ModelBundle {
@@ -178,52 +220,42 @@ impl ModelBundle {
         format!("{head}/h{}/v{}/{numeric}/{h:016x}", self.cfg.hidden, self.vocab.len())
     }
 
-    /// The shared header (magic, cfg, vocabularies) without the params
-    /// section.
-    fn header(&self) -> String {
-        let mut header = String::new();
-        header.push_str(BUNDLE_MAGIC);
-        header.push('\n');
-        header.push_str(&format!(
-            "cfg {} {} {} {}\n",
+    /// Serializes the header (magic, cfg, vocabularies), then the
+    /// parameter blob under its `tag` line.
+    fn with_params(&self, tag: &str, params: &[u8]) -> Vec<u8> {
+        let mut w = ByteWriter::with_capacity(params.len() + 16 * self.vocab.len() + 64);
+        w.line(BUNDLE_MAGIC);
+        w.line(&format!(
+            "cfg {} {} {} {}",
             self.cfg.hidden,
             self.cfg.attn,
             self.cfg.max_name_len,
             self.cfg.ablation.name()
         ));
-        header.push_str(&format!("vocab {}\n", self.vocab.len()));
-        for id in 0..self.vocab.len() {
-            header.push_str(&escape(self.vocab.token(id)));
-            header.push('\n');
-        }
-        match &self.head {
+        let vocab: Vec<_> = (0..self.vocab.len()).map(|id| self.vocab.token(id)).collect();
+        let (head, tokens) = match &self.head {
             BundleHead::Namer(out) => {
-                header.push_str(&format!("head namer {}\n", out.len()));
-                for id in 0..out.len() {
-                    header.push_str(&escape(out.token(id)));
-                    header.push('\n');
-                }
+                ("head namer", (0..out.len()).map(|id| out.token(id)).collect())
             }
             BundleHead::Classifier(labels) => {
-                header.push_str(&format!("head classifier {}\n", labels.len()));
-                for label in labels {
-                    header.push_str(&escape(label));
-                    header.push('\n');
-                }
+                ("head classifier", labels.iter().map(String::as_str).collect())
+            }
+        };
+        for (title, tokens) in [("vocab", vocab), (head, tokens)] {
+            w.line(&format!("{title} {}", tokens.len()));
+            for token in tokens {
+                w.line(&escape(token));
             }
         }
-        header
+        w.line(&format!("{tag} {}", params.len()));
+        w.raw(params);
+        w.into_bytes()
     }
 
     /// Serializes the bundle to its on-disk byte form (f32 `params`
     /// payload).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut header = self.header();
-        let params = save_store_binary(&self.store);
-        header.push_str(&format!("params {}\n", params.len()));
-        let mut bytes = header.into_bytes();
-        bytes.extend_from_slice(&params);
-        bytes
+        self.with_params("params", &save_store_binary(&self.store))
     }
 
     /// Serializes the bundle with an int8/f16 `qparams` payload
@@ -231,16 +263,11 @@ impl ModelBundle {
     /// as f16. ~4× smaller on disk; loads back into
     /// [`ModelBundle::qstore`] for dequantize-free inference.
     pub fn to_quantized_bytes(&self) -> Vec<u8> {
-        let mut header = self.header();
-        let qs = match &self.qstore {
-            Some(qs) => qs.clone(),
-            None => QuantStore::quantize(&self.store),
+        let params = match &self.qstore {
+            Some(qs) => save_store_quantized(qs),
+            None => save_store_quantized(&QuantStore::quantize(&self.store)),
         };
-        let params = save_store_quantized(&qs);
-        header.push_str(&format!("qparams {}\n", params.len()));
-        let mut bytes = header.into_bytes();
-        bytes.extend_from_slice(&params);
-        bytes
+        self.with_params("qparams", &params)
     }
 
     /// Parses a bundle from its on-disk byte form.
@@ -249,25 +276,12 @@ impl ModelBundle {
     ///
     /// Returns [`BundleError`] on any malformed section.
     pub fn from_bytes(bytes: &[u8]) -> Result<ModelBundle, BundleError> {
-        let mut pos = 0usize;
-        let mut next_line = || -> Result<String, BundleError> {
-            let rest = &bytes[pos..];
-            let end = rest
-                .iter()
-                .position(|&b| b == b'\n')
-                .ok_or_else(|| BundleError::Parse("unexpected end of header".into()))?;
-            let line = std::str::from_utf8(&rest[..end])
-                .map_err(|_| BundleError::Parse("non-UTF-8 header line".into()))?
-                .to_string();
-            pos += end + 1;
-            Ok(line)
-        };
-
-        if next_line()? != BUNDLE_MAGIC {
+        let mut r = ByteReader::new(bytes);
+        if r.line()? != BUNDLE_MAGIC {
             return Err(BundleError::Parse(format!("missing {BUNDLE_MAGIC} magic")));
         }
 
-        let cfg_line = next_line()?;
+        let cfg_line = r.line()?;
         let mut parts = cfg_line.split_whitespace();
         let cfg = (|| {
             if parts.next()? != "cfg" {
@@ -281,108 +295,53 @@ impl ModelBundle {
         })()
         .ok_or_else(|| BundleError::Parse(format!("bad cfg line {cfg_line:?}")))?;
 
-        let vocab_line = next_line()?;
-        let n: usize = vocab_line
-            .strip_prefix("vocab ")
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| BundleError::Parse(format!("bad vocab line {vocab_line:?}")))?;
+        let (_, tokens) = read_section(&mut r, &["vocab"])?;
         let mut vocab = Vocab::new();
-        for i in 0..n {
-            let token = unescape(&next_line()?);
-            if i == 0 {
-                if token != crate::vocab::UNK {
-                    return Err(BundleError::Parse("vocab slot 0 must be <UNK>".into()));
-                }
-                continue; // Vocab::new() already holds <UNK> at id 0.
+        check_ids("vocab", &tokens, |t| vocab.add(t))?;
+        let head = match read_section(&mut r, &["head namer", "head classifier"])? {
+            (0, tokens) => {
+                let mut out = OutVocab::new();
+                check_ids("out-vocab", &tokens, |t| out.add(t))?;
+                BundleHead::Namer(out)
             }
-            let id = vocab.add(&token);
-            if id != i {
-                return Err(BundleError::Parse(format!("duplicate vocab token {token:?}")));
-            }
-        }
-        if vocab.len() != n.max(1) {
-            return Err(BundleError::Parse("vocab length mismatch".into()));
-        }
-
-        let head_line = next_line()?;
-        let head = if let Some(rest) = head_line.strip_prefix("head namer ") {
-            let m: usize = rest
-                .parse()
-                .map_err(|_| BundleError::Parse(format!("bad head line {head_line:?}")))?;
-            let mut out = OutVocab::new();
-            for i in 0..m {
-                let token = unescape(&next_line()?);
-                if i < 3 {
-                    if out.token(i) != token {
-                        return Err(BundleError::Parse(format!(
-                            "out-vocab slot {i} must be {:?}, found {token:?}",
-                            out.token(i)
-                        )));
-                    }
-                    continue; // reserved <UNK>/<SOS>/<EOS> pre-exist.
-                }
-                if out.add(&token) != i {
-                    return Err(BundleError::Parse(format!(
-                        "duplicate out-vocab token {token:?}"
-                    )));
-                }
-            }
-            BundleHead::Namer(out)
-        } else if let Some(rest) = head_line.strip_prefix("head classifier ") {
-            let k: usize = rest
-                .parse()
-                .map_err(|_| BundleError::Parse(format!("bad head line {head_line:?}")))?;
-            let mut labels = Vec::with_capacity(k);
-            for _ in 0..k {
-                labels.push(unescape(&next_line()?));
-            }
-            BundleHead::Classifier(labels)
-        } else {
-            return Err(BundleError::Parse(format!("bad head line {head_line:?}")));
+            (_, labels) => BundleHead::Classifier(labels),
         };
 
-        let params_line = next_line()?;
-        let (quantized, declared) = if let Some(rest) = params_line.strip_prefix("params ") {
-            (false, rest)
-        } else if let Some(rest) = params_line.strip_prefix("qparams ") {
-            (true, rest)
-        } else {
-            return Err(BundleError::Parse(format!("bad params line {params_line:?}")));
-        };
-        let nbytes: usize = declared
-            .parse()
-            .map_err(|_| BundleError::Parse(format!("bad params line {params_line:?}")))?;
-        if bytes.len() - pos != nbytes {
+        let (quantized, nbytes) = read_title(&mut r, &["params", "qparams"])?;
+        if r.remaining() != nbytes {
             return Err(BundleError::Parse(format!(
                 "params blob is {} bytes, header declares {nbytes}",
-                bytes.len() - pos
+                r.remaining()
             )));
         }
-        let (store, qstore) = if quantized {
-            let qs = load_store_quantized(&bytes[pos..])?;
+        let blob = r.take(nbytes)?;
+        let (store, qstore) = if quantized == 1 {
+            let qs = load_store_quantized(blob)?;
             (qs.dequantize(), Some(qs))
         } else {
-            (load_store_binary(&bytes[pos..])?, None)
+            (load_store_binary(blob)?, None)
         };
         Ok(ModelBundle { cfg, vocab, head, store, qstore })
     }
 
-    /// Writes the bundle to `path`.
+    /// Writes the bundle to `path`, atomically: a crash mid-save leaves
+    /// the previous file intact.
     ///
     /// # Errors
     ///
     /// Returns the underlying filesystem error.
     pub fn save_to_path(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
+        write_atomic(path.as_ref(), &self.to_bytes())
     }
 
-    /// Writes the bundle to `path` with the int8/f16 `qparams` payload.
+    /// Writes the bundle to `path` with the int8/f16 `qparams` payload,
+    /// atomically.
     ///
     /// # Errors
     ///
     /// Returns the underlying filesystem error.
     pub fn save_quantized_to_path(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_quantized_bytes())
+        write_atomic(path.as_ref(), &self.to_quantized_bytes())
     }
 
     /// Reads a bundle from `path`.
@@ -552,6 +511,15 @@ mod tests {
             ModelBundle::from_bytes(&bytes[..bytes.len() - 3]).unwrap_err(),
             BundleError::Parse(_)
         ));
+        // Reserved tokens out of place: <UNK> must open the vocab and
+        // <SOS> follow it in the out-vocab.
+        let swap = |from: &[u8], to: &[u8]| {
+            let at = bytes.windows(from.len()).position(|w| w == from).unwrap();
+            [&bytes[..at], to, &bytes[at + from.len()..]].concat()
+        };
+        for corrupt in [swap(b"<UNK>\n", b"<UNX>\n"), swap(b"<SOS>\n", b"<EOS>\n")] {
+            assert!(matches!(ModelBundle::from_bytes(&corrupt), Err(BundleError::Parse(_))));
+        }
 
         // Architecture mismatch: declare a different hidden size.
         let mut wrong = bundle.clone();

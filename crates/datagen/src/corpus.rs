@@ -14,6 +14,7 @@ use crate::variation::Knobs;
 use minilang::Program;
 use rand::{Rng, RngExt as _};
 use randgen::{generate_grouped, GenConfig};
+use tensor::codec::{ByteReader, ByteWriter};
 use trace::PathGroup;
 
 /// Why a raw program was filtered out — the categories of Table 1's
@@ -318,12 +319,13 @@ pub fn corpus_fingerprint(config: &CorpusConfig) -> String {
 /// for an acceptance. The program itself never travels — it is reparsed
 /// from the (locally regenerated) source on a hit, which `parse`'s
 /// pre-order id assignment makes bitwise-faithful.
-fn outcome_to_bytes(outcome: &Result<Vec<PathGroup>, FilterReason>) -> Vec<u8> {
-    let mut w = store::ByteWriter::new();
+#[must_use]
+pub fn outcome_to_bytes(outcome: &Result<Vec<PathGroup>, FilterReason>) -> Vec<u8> {
+    let mut w = ByteWriter::new();
     match outcome {
         Ok(groups) => {
             w.u8(1);
-            trace::persist::write_groups(&mut w, groups);
+            w.seq(groups, trace::persist::write_group);
         }
         Err(reason) => {
             w.u8(0);
@@ -334,14 +336,19 @@ fn outcome_to_bytes(outcome: &Result<Vec<PathGroup>, FilterReason>) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn outcome_from_bytes(buf: &[u8]) -> Result<Result<Vec<PathGroup>, FilterReason>, store::StoreError> {
-    let mut r = store::ByteReader::new(buf);
+/// Parses a payload written by [`outcome_to_bytes`].
+///
+/// # Errors
+///
+/// Typed [`store::StoreError`] on truncation, trailing bytes, or an
+/// unknown tag.
+pub fn outcome_from_bytes(
+    buf: &[u8],
+) -> Result<Result<Vec<PathGroup>, FilterReason>, store::StoreError> {
+    let mut r = ByteReader::new(buf);
     let outcome = match r.u8()? {
-        0 => {
-            let tag = r.u8()? as usize;
-            Err(*REASON_TAGS.get(tag).ok_or(store::StoreError::BadRecord)?)
-        }
-        1 => Ok(trace::persist::read_groups(&mut r)?),
+        0 => Err(*REASON_TAGS.get(r.u8()? as usize).ok_or(store::StoreError::BadRecord)?),
+        1 => Ok(r.seq(trace::persist::MIN_GROUP_LEN, trace::persist::read_group)?),
         _ => return Err(store::StoreError::BadRecord),
     };
     r.finish()?;

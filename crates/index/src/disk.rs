@@ -1,8 +1,8 @@
 //! The `LGRI1` on-disk format: lossless persistence for
 //! [`EmbeddingStore`].
 //!
-//! Grammar (all integers little-endian, mirroring the `LGR1` checkpoint
-//! format in `tensor::serialize`):
+//! Grammar (all integers little-endian, read and written through
+//! `tensor::codec` like every other on-disk format):
 //!
 //! ```text
 //! file    := magic version fingerprint dim:u32 count:u32 entry*
@@ -17,69 +17,34 @@
 //! order, which keeps `stats` and row-indexed diagnostics stable across
 //! restarts. Every malformed input maps to a typed [`IndexError`]
 //! (truncation, wrong magic, unknown version, duplicate keys, trailing
-//! garbage); corruption is never a panic.
+//! garbage); corruption is never a panic, and a hostile `dim` or
+//! `count` runs out of input rather than memory.
 
 use crate::error::IndexError;
 use crate::store::EmbeddingStore;
-use std::io::Write;
 use std::path::Path;
+use tensor::codec::{write_atomic, ByteReader, ByteWriter};
 
 /// The four magic bytes opening every index file.
 pub const MAGIC: &[u8; 4] = b"LGRI";
 /// The current (only) format version byte.
 pub const VERSION: u8 = b'1';
 
-/// A bounds-checked little-endian cursor over the raw file bytes.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], IndexError> {
-        let end = self.pos.checked_add(n).ok_or(IndexError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(IndexError::Truncated);
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32, IndexError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, IndexError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f32(&mut self) -> Result<f32, IndexError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-}
-
 /// Serializes `store` into the `LGRI1` byte format.
 pub fn to_bytes(store: &EmbeddingStore) -> Vec<u8> {
-    let mut out = Vec::with_capacity(store.bytes());
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-    let fp = store.fingerprint().as_bytes();
-    out.extend_from_slice(&(fp.len() as u32).to_le_bytes());
-    out.extend_from_slice(fp);
-    out.extend_from_slice(&(store.dim() as u32).to_le_bytes());
-    out.extend_from_slice(&(store.len() as u32).to_le_bytes());
+    let mut w = ByteWriter::with_capacity(store.bytes());
+    w.header(MAGIC, VERSION);
+    w.str(store.fingerprint());
+    w.u32(store.dim() as u32);
+    w.u32(store.len() as u32);
     for row in 0..store.len() {
-        out.extend_from_slice(&store.keys()[row].to_le_bytes());
+        w.u64(store.keys()[row]);
         for &x in store.row(row) {
-            out.extend_from_slice(&x.to_le_bytes());
+            w.f32(x);
         }
-        let toks = store.postings(row);
-        out.extend_from_slice(&(toks.len() as u32).to_le_bytes());
-        for &t in toks {
-            out.extend_from_slice(&t.to_le_bytes());
-        }
+        w.seq(store.postings(row), |w, &t| w.u32(t));
     }
+    let out = w.into_bytes();
     debug_assert_eq!(out.len(), store.bytes(), "bytes() disagrees with the writer");
     out
 }
@@ -93,37 +58,22 @@ pub fn to_bytes(store: &EmbeddingStore) -> Vec<u8> {
 /// mid-record, [`IndexError::BadRecord`] for duplicate keys, and
 /// [`IndexError::TrailingBytes`] when data follows the last entry.
 pub fn from_bytes(buf: &[u8]) -> Result<EmbeddingStore, IndexError> {
-    let mut r = Reader { buf, pos: 0 };
-    if r.take(4)? != MAGIC {
-        return Err(IndexError::BadMagic);
-    }
-    let version = r.take(1)?[0];
-    if version != VERSION {
-        return Err(IndexError::VersionMismatch { found: version });
-    }
-    let fp_len = r.u32()? as usize;
-    let fingerprint = String::from_utf8(r.take(fp_len)?.to_vec())
-        .map_err(|_| IndexError::BadRecord { index: 0 })?;
+    let mut r = ByteReader::new(buf);
+    r.header(MAGIC, VERSION)?;
+    let fingerprint = r.str()?;
     let dim = r.u32()? as usize;
     let count = r.u32()? as usize;
-    let mut keys = Vec::with_capacity(count.min(1 << 20));
-    let mut matrix: Vec<f32> = Vec::with_capacity(count.min(1 << 20) * dim);
-    let mut postings = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        keys.push(r.u64()?);
+    let min_len = dim.saturating_mul(4).saturating_add(12);
+    let mut matrix = Vec::with_capacity(r.max_items(count, min_len) * dim);
+    let entries = r.repeat(count, min_len, |r| {
+        let key = r.u64()?;
         for _ in 0..dim {
             matrix.push(r.f32()?);
         }
-        let ntok = r.u32()? as usize;
-        let mut toks = Vec::with_capacity(ntok.min(1 << 20));
-        for _ in 0..ntok {
-            toks.push(r.u32()?);
-        }
-        postings.push(toks);
-    }
-    if r.pos != buf.len() {
-        return Err(IndexError::TrailingBytes);
-    }
+        Ok::<_, IndexError>((key, r.seq(4, ByteReader::u32)?))
+    })?;
+    r.finish()?;
+    let (keys, postings) = entries.into_iter().unzip();
     EmbeddingStore::from_parts(dim, fingerprint, keys, matrix, postings)
 }
 
@@ -134,14 +84,7 @@ pub fn from_bytes(buf: &[u8]) -> Result<EmbeddingStore, IndexError> {
 ///
 /// [`IndexError::Io`] on any filesystem failure.
 pub fn save_to_path(store: &EmbeddingStore, path: &Path) -> Result<(), IndexError> {
-    let bytes = to_bytes(store);
-    let tmp = path.with_extension("tmp");
-    let io = |e: std::io::Error| IndexError::Io(e.to_string());
-    let mut file = std::fs::File::create(&tmp).map_err(io)?;
-    file.write_all(&bytes).map_err(io)?;
-    file.sync_all().map_err(io)?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(io)
+    write_atomic(path, &to_bytes(store)).map_err(|e| IndexError::Io(e.to_string()))
 }
 
 /// Reads an `LGRI1` file from `path`.
@@ -153,12 +96,6 @@ pub fn save_to_path(store: &EmbeddingStore, path: &Path) -> Result<(), IndexErro
 pub fn load_from_path(path: &Path) -> Result<EmbeddingStore, IndexError> {
     let bytes = std::fs::read(path).map_err(|e| IndexError::Io(e.to_string()))?;
     from_bytes(&bytes)
-}
-
-/// Whether `buf` starts with the `LGRI` magic — cheap format sniffing
-/// for tooling that dispatches on file contents.
-pub fn sniff(buf: &[u8]) -> bool {
-    buf.len() >= 4 && &buf[..4] == MAGIC
 }
 
 #[cfg(test)]
@@ -218,13 +155,6 @@ mod tests {
         let mut bytes = to_bytes(&sample());
         bytes.push(0);
         assert_eq!(from_bytes(&bytes).unwrap_err(), IndexError::TrailingBytes);
-    }
-
-    #[test]
-    fn sniffing() {
-        assert!(sniff(&to_bytes(&sample())));
-        assert!(!sniff(b"LGR1"));
-        assert!(!sniff(b"LG"));
     }
 
     #[test]

@@ -103,6 +103,19 @@ impl std::fmt::Display for IndexError {
 
 impl std::error::Error for IndexError {}
 
+impl From<tensor::codec::DecodeError> for IndexError {
+    fn from(e: tensor::codec::DecodeError) -> IndexError {
+        use tensor::codec::DecodeError;
+        match e {
+            DecodeError::Truncated => IndexError::Truncated,
+            DecodeError::TrailingBytes => IndexError::TrailingBytes,
+            DecodeError::BadRecord => IndexError::BadRecord { index: 0 },
+            DecodeError::BadMagic => IndexError::BadMagic,
+            DecodeError::VersionMismatch { found } => IndexError::VersionMismatch { found },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

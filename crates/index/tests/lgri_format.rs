@@ -4,7 +4,7 @@
 //! truncation, a flipped magic, a bumped version, trailing garbage —
 //! surfaces as a *typed* [`IndexError`], never a panic.
 
-use index::disk::{from_bytes, load_from_path, save_to_path, sniff, to_bytes};
+use index::disk::{from_bytes, load_from_path, save_to_path, to_bytes};
 use index::{EmbeddingStore, IndexError};
 use proptest::prelude::*;
 
@@ -30,7 +30,6 @@ fn bits(v: &[f32]) -> Vec<u32> {
 
 fn assert_lossless(store: &EmbeddingStore) {
     let buf = to_bytes(store);
-    assert!(sniff(&buf));
     assert_eq!(buf.len(), store.bytes(), "bytes() must predict the serialized size");
     let loaded = from_bytes(&buf).unwrap();
     assert_eq!(loaded.dim(), store.dim());

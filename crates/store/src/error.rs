@@ -55,3 +55,16 @@ impl fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
+
+impl From<tensor::codec::DecodeError> for StoreError {
+    fn from(e: tensor::codec::DecodeError) -> StoreError {
+        use tensor::codec::DecodeError;
+        match e {
+            DecodeError::Truncated => StoreError::Truncated,
+            DecodeError::TrailingBytes => StoreError::TrailingBytes,
+            DecodeError::BadRecord => StoreError::BadRecord,
+            DecodeError::BadMagic => StoreError::BadMagic,
+            DecodeError::VersionMismatch { found } => StoreError::VersionMismatch { found },
+        }
+    }
+}

@@ -7,7 +7,7 @@
 //! encoding, and an unchanged program loads bitwise-identical artifacts
 //! instead of recomputing them.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`hash`] — the one FNV-1a implementation every key space shares
 //!   (serve routing, index identity, canon memo, store keys), plus the
@@ -17,21 +17,21 @@
 //!   atomic writes, fingerprint-checked lookups, typed [`StoreError`]
 //!   on any corruption, `store.hits`/`store.misses`/`store.bytes`/
 //!   `store.evictions` obs counters and a `store.lookup` span.
-//! * [`codec`] — the little-endian payload cursors the artifact-owning
-//!   crates (trace, analysis, core) build their codecs on.
 //!
-//! The store holds payloads as opaque bytes; it depends only on
-//! `tensor`, `obs`, and `minilang`, so every layer of the stack — from
-//! `randgen` up to `liger-serve` — can reach it without cycles.
+//! The store holds payloads as opaque bytes. Entries, the embedding
+//! payload, and the payload codecs of the artifact-owning crates (trace,
+//! analysis, datagen) all read and write through `tensor::codec`, the
+//! one byte reader/writer every on-disk format shares; a codec error
+//! converts into [`StoreError`]. The store depends only on `tensor` and
+//! `obs`, so every layer of the stack — from `randgen` up to
+//! `liger-serve` — can reach it without cycles.
 
-mod codec;
 mod error;
 pub mod hash;
 mod store;
 
-pub use codec::{embedding_from_bytes, embedding_to_bytes, ByteReader, ByteWriter};
 pub use error::StoreError;
 pub use store::{
-    entry_from_bytes, entry_to_bytes, sniff, ArtifactKind, Entry, Store, StoreStats, MAGIC,
-    VERSION,
+    embedding_from_bytes, embedding_to_bytes, entry_from_bytes, entry_to_bytes, ArtifactKind,
+    Entry, Store, StoreStats, MAGIC, VERSION,
 };

@@ -27,14 +27,15 @@
 //! is folded into `fp`, and a mismatch reads as a **miss**, never a
 //! wrong hit.
 //!
-//! Writes are atomic (`.tmp` sibling + `sync_all` + rename, the LGRI1
-//! discipline), so a crash mid-write leaves either the old entry or a
+//! Entries and payloads are read and written through `tensor::codec`.
+//! Writes are atomic ([`write_atomic`]: `.tmp` sibling + `sync_all` +
+//! rename), so a crash mid-write leaves either the old entry or a
 //! `.tmp` orphan that [`Store::open`] sweeps — never a torn file.
 
 use crate::error::StoreError;
 use crate::hash::fnv1a_bytes;
-use std::io::Write;
 use std::path::{Path, PathBuf};
+use tensor::codec::{write_atomic, ByteReader, ByteWriter};
 
 /// The four magic bytes opening every artifact entry.
 pub const MAGIC: &[u8; 4] = b"LGRS";
@@ -102,17 +103,16 @@ impl ArtifactKind {
 /// Serializes one artifact entry into `LGRS1` bytes.
 #[must_use]
 pub fn entry_to_bytes(kind: ArtifactKind, key: u64, fingerprint: &str, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 1 + 1 + 8 + 4 + fingerprint.len() + 8 + payload.len() + 8);
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-    out.push(kind as u8);
-    out.extend_from_slice(&key.to_le_bytes());
-    out.extend_from_slice(&(fingerprint.len() as u32).to_le_bytes());
-    out.extend_from_slice(fingerprint.as_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a_bytes(payload).to_le_bytes());
-    out
+    let mut w =
+        ByteWriter::with_capacity(4 + 1 + 1 + 8 + 4 + fingerprint.len() + 8 + payload.len() + 8);
+    w.header(MAGIC, VERSION);
+    w.u8(kind as u8);
+    w.u64(key);
+    w.str(fingerprint);
+    w.u64(payload.len() as u64);
+    w.raw(payload);
+    w.u64(fnv1a_bytes(payload));
+    w.into_bytes()
 }
 
 /// A fully parsed artifact entry.
@@ -139,19 +139,11 @@ pub struct Entry {
 /// [`StoreError::TrailingBytes`], and [`StoreError::BadRecord`] for a
 /// non-UTF-8 fingerprint.
 pub fn entry_from_bytes(buf: &[u8]) -> Result<Entry, StoreError> {
-    let mut r = crate::codec::ByteReader::new(buf);
-    if r.take(4)? != MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    let version = r.u8()?;
-    if version != VERSION {
-        return Err(StoreError::VersionMismatch { found: version });
-    }
+    let mut r = ByteReader::new(buf);
+    r.header(MAGIC, VERSION)?;
     let kind = ArtifactKind::from_u8(r.u8()?)?;
     let key = r.u64()?;
-    let fp_len = r.u32()? as usize;
-    let fingerprint =
-        String::from_utf8(r.take(fp_len)?.to_vec()).map_err(|_| StoreError::BadRecord)?;
+    let fingerprint = r.str()?;
     let payload_len = usize::try_from(r.u64()?).map_err(|_| StoreError::Truncated)?;
     let payload = r.take(payload_len)?.to_vec();
     let checksum = r.u64()?;
@@ -162,11 +154,28 @@ pub fn entry_from_bytes(buf: &[u8]) -> Result<Entry, StoreError> {
     Ok(Entry { kind, key, fingerprint, payload })
 }
 
-/// Whether `buf` starts with the `LGRS` magic — cheap format sniffing
-/// for tooling that dispatches on file contents.
+/// Serializes an embedding vector as a length-prefixed run of IEEE-754
+/// bits — the payload grammar of [`ArtifactKind::Embedding`] entries,
+/// shared by serve, quickstart, and the eval pipeline so a vector
+/// cached by one consumer loads bitwise-identical in another.
 #[must_use]
-pub fn sniff(buf: &[u8]) -> bool {
-    buf.len() >= 4 && &buf[..4] == MAGIC
+pub fn embedding_to_bytes(vec: &[f32]) -> Vec<u8> {
+    let mut w = ByteWriter::with_capacity(4 + 4 * vec.len());
+    w.seq(vec, |w, &x| w.f32(x));
+    w.into_bytes()
+}
+
+/// Parses an embedding payload written by [`embedding_to_bytes`].
+///
+/// # Errors
+///
+/// [`StoreError::Truncated`] / [`StoreError::TrailingBytes`] when the
+/// byte count disagrees with the length prefix.
+pub fn embedding_from_bytes(buf: &[u8]) -> Result<Vec<f32>, StoreError> {
+    let mut r = ByteReader::new(buf);
+    let vec = r.seq(4, ByteReader::f32)?;
+    r.finish()?;
+    Ok(vec)
 }
 
 /// A content-addressed artifact store rooted at one directory.
@@ -289,13 +298,7 @@ impl Store {
         }
         let dir = path.parent().expect("entry path has a shard directory");
         std::fs::create_dir_all(dir).map_err(io)?;
-        let bytes = entry_to_bytes(kind, key, fingerprint, payload);
-        let tmp = path.with_extension("tmp");
-        let mut file = std::fs::File::create(&tmp).map_err(io)?;
-        file.write_all(&bytes).map_err(io)?;
-        file.sync_all().map_err(io)?;
-        drop(file);
-        std::fs::rename(&tmp, &path).map_err(io)?;
+        write_atomic(&path, &entry_to_bytes(kind, key, fingerprint, payload)).map_err(io)?;
         obs::counter!("store.bytes").add(payload.len() as u64);
         Ok(())
     }
@@ -428,8 +431,21 @@ mod tests {
         assert_eq!(entry.key, 0xabcd);
         assert_eq!(entry.fingerprint, "fp@1");
         assert_eq!(entry.payload, b"payload");
-        assert!(sniff(&bytes));
-        assert!(!sniff(b"LGRI"));
+    }
+
+    #[test]
+    fn embedding_payload_roundtrip_is_bitwise() {
+        let vec = [1.0f32, -0.0, f32::MIN_POSITIVE, 3.25e-7];
+        let bytes = embedding_to_bytes(&vec);
+        let back = embedding_from_bytes(&bytes).unwrap();
+        assert_eq!(back.len(), vec.len());
+        for (a, b) in vec.iter().zip(&back) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert_eq!(embedding_from_bytes(&bytes[..bytes.len() - 1]), Err(StoreError::Truncated));
+        let mut long = bytes.clone();
+        long.push(0);
+        assert_eq!(embedding_from_bytes(&long), Err(StoreError::TrailingBytes));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   attention weighting, max-pooling, cross-entropy) and full
 //!   reverse-mode differentiation,
 //! - [`gradcheck`] — the numerical-gradient harness every layer is tested
-//!   against.
+//!   against,
+//! - [`codec`] — the bounds-checked byte reader/writer and atomic file
+//!   write behind every on-disk format in the workspace.
 //!
 //! # Examples
 //!
@@ -33,6 +35,7 @@
 //! assert!(store.grad_norm() > 0.0);
 //! ```
 
+pub mod codec;
 pub mod gradcheck;
 pub mod serialize;
 pub mod graph;
@@ -47,9 +50,6 @@ pub use pool::BufferPool;
 pub use quant::{
     load_store_quantized, save_store_quantized, QuantData, QuantParam, QuantStore, QUANT_VERSION,
 };
-pub use serialize::{
-    binary_to_text, load_store, load_store_binary, save_store, save_store_binary,
-    text_to_binary, CheckpointError, LoadError,
-};
+pub use serialize::{load_store_binary, save_store_binary, CheckpointError, LoadError};
 pub use store::{Param, ParamGrads, ParamId, ParamStore};
 pub use tensor::{cosine_scores, f16_bits_to_f32, f32_to_f16_bits, gemm_batch, QuantMat, Tensor};

@@ -10,7 +10,9 @@
 //!
 //! On disk the format reuses the `LGR` magic with version byte `q`, so
 //! pre-quantization loaders reject it with a typed
-//! [`LoadError::VersionMismatch`] instead of reading garbage:
+//! [`LoadError::VersionMismatch`] instead of reading garbage. It shares
+//! the `LGR1` record header and reads and writes through
+//! [`crate::codec`]:
 //!
 //! ```text
 //! "LGR" 'q'
@@ -23,10 +25,10 @@
 //!                     tag 1: rows × f32 scales (LE), rows·cols × i8 codes
 //! ```
 
-use crate::serialize::{LoadError, Reader, MAGIC};
+use crate::codec::{ByteReader, ByteWriter};
+use crate::serialize::{read_checkpoint, LoadError, Record, MAGIC};
 use crate::store::{ParamId, ParamStore};
 use crate::tensor::{f16_bits_to_f32, f32_to_f16_bits, QuantMat, Tensor};
-use std::collections::HashSet;
 
 /// The version byte of quantized checkpoints (`LGRq`).
 pub const QUANT_VERSION: u8 = b'q';
@@ -175,35 +177,35 @@ impl QuantStore {
 
 /// Serializes a quantized store in the binary `LGRq` format.
 pub fn save_store_quantized(qs: &QuantStore) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + qs.payload_bytes() + qs.len() * 32);
-    out.extend_from_slice(MAGIC);
-    out.push(QUANT_VERSION);
-    out.extend_from_slice(&(qs.len() as u32).to_le_bytes());
+    let mut w = ByteWriter::with_capacity(8 + qs.payload_bytes() + qs.len() * 32);
+    w.header(MAGIC, QUANT_VERSION);
+    w.u32(qs.len() as u32);
     for p in &qs.params {
-        out.extend_from_slice(&(p.name.len() as u32).to_le_bytes());
-        out.extend_from_slice(p.name.as_bytes());
-        out.extend_from_slice(&(p.rows as u32).to_le_bytes());
-        out.extend_from_slice(&(p.cols as u32).to_le_bytes());
+        w.str(&p.name);
+        w.u32(p.rows as u32);
+        w.u32(p.cols as u32);
         match &p.data {
             QuantData::Vecf(v) => {
-                out.push(0);
+                w.u8(0);
                 for &x in v {
-                    out.extend_from_slice(&f32_to_f16_bits(x).to_le_bytes());
+                    w.u16(f32_to_f16_bits(x));
                 }
             }
             QuantData::Mat(m) => {
-                out.push(1);
+                w.u8(1);
                 for &s in m.scales() {
-                    out.extend_from_slice(&s.to_le_bytes());
+                    w.f32(s);
                 }
-                out.extend_from_slice(unsafe {
-                    // i8 and u8 share layout; no values are reinterpreted.
+                // SAFETY: i8 and u8 have the same size and alignment and
+                // every bit pattern is a valid u8, so the codes slice reads
+                // as bytes over exactly its own length.
+                w.raw(unsafe {
                     std::slice::from_raw_parts(m.codes().as_ptr().cast::<u8>(), m.codes().len())
                 });
             }
         }
     }
-    out
+    w.into_bytes()
 }
 
 /// Reconstructs a quantized store from [`save_store_quantized`] output.
@@ -216,51 +218,19 @@ pub fn save_store_quantized(qs: &QuantStore) -> Vec<u8> {
 /// [`LoadError::UnexpectedEof`] / [`LoadError::BadRecord`] on truncation
 /// or malformed records.
 pub fn load_store_quantized(bytes: &[u8]) -> Result<QuantStore, LoadError> {
-    if bytes.len() < 4 || &bytes[..3] != MAGIC {
-        return Err(LoadError::BadMagic);
-    }
-    if bytes[3] != QUANT_VERSION {
-        return Err(LoadError::VersionMismatch { found: bytes[3] });
-    }
-    let mut r = Reader { bytes, pos: 4 };
-    let count = r.u32()? as usize;
-    let mut params = Vec::with_capacity(count.min(1024));
-    let mut seen: HashSet<String> = HashSet::new();
-    for index in 0..count {
-        let name_len = r.u32()? as usize;
-        let name = std::str::from_utf8(r.take(name_len)?)
-            .map_err(|_| LoadError::BadRecord { index })?
-            .to_string();
-        if !seen.insert(name.clone()) {
-            return Err(LoadError::DuplicateParam { name });
-        }
-        let rows = r.u32()? as usize;
-        let cols = r.u32()? as usize;
-        let len = rows.checked_mul(cols).ok_or(LoadError::BadRecord { index })?;
-        let tag = r.take(1)?[0];
-        let data = match tag {
-            0 => {
-                let mut v = Vec::with_capacity(len);
-                for _ in 0..len {
-                    v.push(f16_bits_to_f32(r.u16()?));
-                }
-                QuantData::Vecf(v)
-            }
+    let params = read_checkpoint(bytes, QUANT_VERSION, 13, |r, rec| {
+        let Record { index, name, rows, cols, len } = rec;
+        let data = match r.u8()? {
+            0 => QuantData::Vecf(r.repeat(len, 2, |r| r.u16().map(f16_bits_to_f32))?),
             1 => {
-                let mut scales = Vec::with_capacity(rows);
-                for _ in 0..rows {
-                    scales.push(r.f32()?);
-                }
+                let scales = r.repeat(rows, 4, ByteReader::f32)?;
                 let codes: Vec<i8> = r.take(len)?.iter().map(|&b| b as i8).collect();
                 QuantData::Mat(QuantMat::from_parts(rows, cols, codes, scales))
             }
             _ => return Err(LoadError::BadRecord { index }),
         };
-        params.push(QuantParam { name, rows, cols, data });
-    }
-    if r.pos != bytes.len() {
-        return Err(LoadError::BadRecord { index: count });
-    }
+        Ok(QuantParam { name, rows, cols, data })
+    })?;
     Ok(QuantStore { params })
 }
 

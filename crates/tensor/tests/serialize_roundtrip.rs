@@ -1,14 +1,10 @@
 //! Property tests for checkpoint serialization: any parameter store —
 //! including empty stores, empty tensors, and 0×N shapes — survives the
-//! binary round trip bitwise, and the text and binary formats convert
-//! into each other losslessly.
+//! binary round trip bitwise.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use tensor::{
-    binary_to_text, load_store, load_store_binary, save_store, save_store_binary, text_to_binary,
-    ParamStore, Tensor,
-};
+use tensor::{load_store_binary, save_store_binary, ParamStore, Tensor};
 
 /// Bitwise fingerprint of a store: names, shapes, and raw value bits.
 fn bits(store: &ParamStore) -> Vec<(String, usize, usize, Vec<u32>)> {
@@ -64,25 +60,5 @@ proptest! {
         let blob = save_store_binary(&store);
         let loaded = load_store_binary(&blob).expect("own output must load");
         prop_assert_eq!(bits(&store), bits(&loaded));
-    }
-
-    #[test]
-    fn text_and_binary_formats_agree(
-        rows in proptest::collection::vec(0usize..4, 0..=4),
-        cols in proptest::collection::vec(1usize..4, 0..=4),
-        values in vec(-1.0e6f32..=1.0e6, 0..=24),
-    ) {
-        let shapes: Vec<(usize, usize)> =
-            rows.iter().zip(&cols).map(|(&r, &c)| (r, c)).collect();
-        let store = store_of(&shapes, &values);
-
-        // store → text → binary → store is still bitwise the original …
-        let text = save_store(&store);
-        let blob = text_to_binary(&text).expect("text converts");
-        prop_assert_eq!(bits(&store), bits(&load_store_binary(&blob).unwrap()));
-
-        // … and binary → text re-parses to the same store too.
-        let text2 = binary_to_text(&save_store_binary(&store)).expect("binary converts");
-        prop_assert_eq!(bits(&store), bits(&load_store(&text2).unwrap()));
     }
 }

@@ -5,7 +5,7 @@
 //! produces by running the tracing interpreter over sampled inputs.
 //! This module defines the byte grammar of those payloads (kind
 //! `TraceGroups` / `CorpusOutcome` in `store::ArtifactKind`) on top of
-//! the store's bounds-checked cursors, so a reload is bitwise-faithful:
+//! the shared `tensor::codec` cursors, so a reload is bitwise-faithful:
 //! every state slot, guard direction, return value, and input vector
 //! survives exactly, and any corruption surfaces as a typed
 //! [`StoreError`], never a panic.
@@ -27,7 +27,9 @@
 use crate::blended::PathGroup;
 use crate::execution::{ExecutionTrace, SymbolicTrace};
 use interp::{EventKind, PathStep, State, TraceEvent, Value};
-use store::{ByteReader, ByteWriter, StoreError};
+use minilang::StmtId;
+use store::StoreError;
+use tensor::codec::{ByteReader, ByteWriter, DecodeError};
 
 fn write_value(w: &mut ByteWriter, v: &Value) {
     match v {
@@ -37,7 +39,7 @@ fn write_value(w: &mut ByteWriter, v: &Value) {
         }
         Value::Bool(b) => {
             w.u8(1);
-            w.u8(u8::from(*b));
+            w.bool(*b);
         }
         Value::Str(s) => {
             w.u8(2);
@@ -45,58 +47,32 @@ fn write_value(w: &mut ByteWriter, v: &Value) {
         }
         Value::Array(a) => {
             w.u8(3);
-            w.u32(a.len() as u32);
-            for &x in a {
-                w.i64(x);
-            }
+            w.seq(a, |w, &x| w.i64(x));
         }
     }
 }
 
-fn read_value(r: &mut ByteReader) -> Result<Value, StoreError> {
+fn read_value(r: &mut ByteReader) -> Result<Value, DecodeError> {
     match r.u8()? {
         0 => Ok(Value::Int(r.i64()?)),
-        1 => match r.u8()? {
-            0 => Ok(Value::Bool(false)),
-            1 => Ok(Value::Bool(true)),
-            _ => Err(StoreError::BadRecord),
-        },
+        1 => Ok(Value::Bool(r.bool()?)),
         2 => Ok(Value::Str(r.str()?)),
-        3 => {
-            let n = r.u32()? as usize;
-            let mut a = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                a.push(r.i64()?);
-            }
-            Ok(Value::Array(a))
-        }
-        _ => Err(StoreError::BadRecord),
+        3 => Ok(Value::Array(r.seq(8, ByteReader::i64)?)),
+        _ => Err(DecodeError::BadRecord),
     }
 }
 
 fn write_state(w: &mut ByteWriter, s: &State) {
-    w.u32(s.values.len() as u32);
-    for slot in &s.values {
-        match slot {
-            None => w.u8(0),
-            Some(v) => {
-                w.u8(1);
-                write_value(w, v);
-            }
+    w.seq(&s.values, |w, slot| {
+        w.bool(slot.is_some());
+        if let Some(v) = slot {
+            write_value(w, v);
         }
-    }
+    });
 }
 
-fn read_state(r: &mut ByteReader) -> Result<State, StoreError> {
-    let n = r.u32()? as usize;
-    let mut values = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        values.push(match r.u8()? {
-            0 => None,
-            1 => Some(read_value(r)?),
-            _ => return Err(StoreError::BadRecord),
-        });
-    }
+fn read_state(r: &mut ByteReader) -> Result<State, DecodeError> {
+    let values = r.seq(1, |r| r.bool()?.then(|| read_value(r)).transpose())?;
     Ok(State { values })
 }
 
@@ -105,75 +81,79 @@ fn write_kind(w: &mut ByteWriter, k: EventKind) {
         EventKind::Exec => w.u8(0),
         EventKind::Guard { taken } => {
             w.u8(1);
-            w.u8(u8::from(taken));
+            w.bool(taken);
         }
     }
 }
 
-fn read_kind(r: &mut ByteReader) -> Result<EventKind, StoreError> {
+fn read_kind(r: &mut ByteReader) -> Result<EventKind, DecodeError> {
     match r.u8()? {
         0 => Ok(EventKind::Exec),
-        1 => match r.u8()? {
-            0 => Ok(EventKind::Guard { taken: false }),
-            1 => Ok(EventKind::Guard { taken: true }),
-            _ => Err(StoreError::BadRecord),
-        },
-        _ => Err(StoreError::BadRecord),
+        1 => Ok(EventKind::Guard { taken: r.bool()? }),
+        _ => Err(DecodeError::BadRecord),
     }
 }
 
 fn write_trace(w: &mut ByteWriter, t: &ExecutionTrace) {
     write_state(w, &t.initial_state);
-    w.u32(t.events.len() as u32);
-    for e in &t.events {
-        w.stmt(e.stmt);
+    w.seq(&t.events, |w, e| {
+        w.u32(e.stmt.0);
         w.u32(e.line);
         write_kind(w, e.kind);
         write_state(w, &e.state);
-    }
+    });
     write_value(w, &t.return_value);
-    w.u32(t.inputs.len() as u32);
-    for v in &t.inputs {
-        write_value(w, v);
-    }
+    w.seq(&t.inputs, write_value);
 }
 
-fn read_trace(r: &mut ByteReader) -> Result<ExecutionTrace, StoreError> {
+fn read_trace(r: &mut ByteReader) -> Result<ExecutionTrace, DecodeError> {
     let initial_state = read_state(r)?;
-    let nevents = r.u32()? as usize;
-    let mut events = Vec::with_capacity(nevents.min(1 << 20));
-    for _ in 0..nevents {
-        let stmt = r.stmt()?;
+    let events = r.seq(13, |r| {
+        let stmt = StmtId(r.u32()?);
         let line = r.u32()?;
         let kind = read_kind(r)?;
         let state = read_state(r)?;
-        events.push(TraceEvent { stmt, line, kind, state });
-    }
+        Ok::<_, DecodeError>(TraceEvent { stmt, line, kind, state })
+    })?;
     let return_value = read_value(r)?;
-    let ninputs = r.u32()? as usize;
-    let mut inputs = Vec::with_capacity(ninputs.min(1 << 20));
-    for _ in 0..ninputs {
-        inputs.push(read_value(r)?);
-    }
+    let inputs = r.seq(2, read_value)?;
     Ok(ExecutionTrace { initial_state, events, return_value, inputs })
+}
+
+/// Writes one path group (a [`ByteWriter::seq`] item, for payloads
+/// that embed groups alongside other fields, like datagen's corpus
+/// outcomes).
+pub fn write_group(w: &mut ByteWriter, g: &PathGroup) {
+    w.seq(&g.symbolic.steps, |w, step| {
+        w.u32(step.stmt.0);
+        write_kind(w, step.kind);
+    });
+    w.seq(&g.traces, write_trace);
+}
+
+/// The fewest bytes one [`write_group`] record occupies.
+pub const MIN_GROUP_LEN: usize = 8;
+
+/// Reads one path group written by [`write_group`].
+///
+/// # Errors
+///
+/// [`DecodeError::Truncated`] when the input ends mid-record and
+/// [`DecodeError::BadRecord`] for an invalid tag byte.
+pub fn read_group(r: &mut ByteReader) -> Result<PathGroup, DecodeError> {
+    let steps = r.seq(5, |r| {
+        let stmt = StmtId(r.u32()?);
+        Ok::<_, DecodeError>(PathStep { stmt, kind: read_kind(r)? })
+    })?;
+    let traces = r.seq(14, read_trace)?;
+    Ok(PathGroup { symbolic: SymbolicTrace { steps }, traces })
 }
 
 /// Serializes blended path groups into an artifact payload.
 #[must_use]
 pub fn groups_to_bytes(groups: &[PathGroup]) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.u32(groups.len() as u32);
-    for g in groups {
-        w.u32(g.symbolic.steps.len() as u32);
-        for step in &g.symbolic.steps {
-            w.stmt(step.stmt);
-            write_kind(&mut w, step.kind);
-        }
-        w.u32(g.traces.len() as u32);
-        for t in &g.traces {
-            write_trace(&mut w, t);
-        }
-    }
+    w.seq(groups, write_group);
     w.into_bytes()
 }
 
@@ -186,48 +166,14 @@ pub fn groups_to_bytes(groups: &[PathGroup]) -> Vec<u8> {
 /// [`StoreError::BadRecord`] for an invalid tag byte.
 pub fn groups_from_bytes(buf: &[u8]) -> Result<Vec<PathGroup>, StoreError> {
     let mut r = ByteReader::new(buf);
-    let groups = read_groups(&mut r)?;
+    let groups = r.seq(MIN_GROUP_LEN, read_group)?;
     r.finish()?;
     Ok(groups)
-}
-
-/// Reads a group list from an open cursor (for payloads that embed
-/// groups alongside other fields, like datagen's corpus outcomes).
-///
-/// # Errors
-///
-/// Same as [`groups_from_bytes`], minus the trailing-bytes check.
-pub fn read_groups(r: &mut ByteReader) -> Result<Vec<PathGroup>, StoreError> {
-    let ngroups = r.u32()? as usize;
-    let mut groups = Vec::with_capacity(ngroups.min(1 << 20));
-    for _ in 0..ngroups {
-        let nsteps = r.u32()? as usize;
-        let mut steps = Vec::with_capacity(nsteps.min(1 << 20));
-        for _ in 0..nsteps {
-            let stmt = r.stmt()?;
-            let kind = read_kind(r)?;
-            steps.push(PathStep { stmt, kind });
-        }
-        let ntraces = r.u32()? as usize;
-        let mut traces = Vec::with_capacity(ntraces.min(1 << 20));
-        for _ in 0..ntraces {
-            traces.push(read_trace(r)?);
-        }
-        groups.push(PathGroup { symbolic: SymbolicTrace { steps }, traces });
-    }
-    Ok(groups)
-}
-
-/// Writes a group list into an open writer (the inverse of
-/// [`read_groups`]).
-pub fn write_groups(w: &mut ByteWriter, groups: &[PathGroup]) {
-    w.raw(&groups_to_bytes(groups));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minilang::StmtId;
 
     fn sample_groups() -> Vec<PathGroup> {
         let state = |vals: Vec<Option<Value>>| State { values: vals };

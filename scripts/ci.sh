@@ -39,6 +39,9 @@ cd "$(dirname "$0")/.."
 cargo build --release --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace -q
+# Build the serving benchmark (benchmark/) against this workspace and
+# run its unit tests, from a copy that leaves benchmark/Cargo.lock as is.
+scripts/bench_test.sh
 LIGER_THREADS=2 cargo test -q --test autodiff_properties parallel_training_is_bitwise_deterministic
 LIGER_THREADS=2 cargo test -q --test autodiff_properties cached_training_is_bitwise_identical
 # Batch-major fused-GEMM equivalence + int8 roundtrip proptests, with the
