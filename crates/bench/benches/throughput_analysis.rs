@@ -1,25 +1,24 @@
 //! Static-analysis throughput and symexec pruning effect on the datagen
-//! corpus.
+//! corpus. The report (`--json PATH`, committed as `BENCH_analysis.json`)
+//! has these rows:
 //!
-//! Prints parseable `ANALYSIS …` lines (consumed by
-//! `scripts/bench_json.sh` into `BENCH_analysis.json`):
-//!
-//! - `ANALYSIS mode=lint …` — full lint pipeline (CFG + four dataflow
-//!   fixpoints + diagnostic passes) in programs analyzed per second;
-//! - `ANALYSIS mode=facts …` — the distilled `program_facts` summary the
-//!   symbolic executor consumes;
-//! - `ANALYSIS mode=symexec …` — one row per pruning setting over the
-//!   whole corpus, verifying the enumerated path multiset is identical
-//!   and reporting the solver-call reduction;
-//! - `ANALYSIS mode=canon …` — canonicalization cost and dedup power
-//!   over a variant-heavy corpus (every behavior rendered under several
-//!   random knob draws), gating in-bench that ≥ 30% of same-behavior
-//!   variant pairs collapse to a shared `canon_hash` and that zero
+//! - `lint` — full lint pipeline (CFG + four dataflow fixpoints +
+//!   diagnostic passes) in programs analyzed per second;
+//! - `facts` — the distilled `program_facts` summary the symbolic
+//!   executor consumes;
+//! - `symexec` — one row per pruning setting over the whole corpus,
+//!   verifying the enumerated path multiset is identical and reporting
+//!   the solver-call reduction;
+//! - `canon` — canonicalization cost and dedup power over a
+//!   variant-heavy corpus (every behavior rendered under several random
+//!   knob draws), gating in-bench that ≥ 30% of same-behavior variant
+//!   pairs collapse to a shared `canon_hash` and that zero
 //!   lookalike-mutant pairs collide;
-//! - `ANALYSIS mode=canon_memo …` — canonical-key memoized encoding
+//! - `canon_memo` — canonical-key memoized encoding
 //!   (`liger::CanonEncoder`) vs direct per-variant extraction, gating
 //!   in-bench that memo reuse measurably reduces encode work.
 
+use bench::{Json, Report};
 use datagen::{with_distractors, with_opaque_distractor, Behavior, Knobs, Strategy};
 use minilang::Program;
 use rand::rngs::StdRng;
@@ -57,7 +56,7 @@ fn corpus_with_distractors() -> Vec<Program> {
         .collect()
 }
 
-fn bench_analyses(programs: &[Program]) {
+fn bench_analyses(report: &mut Report, programs: &[Program]) {
     for (mode, work) in [
         ("lint", (|p| analysis::lint::run(p).diagnostics.len()) as fn(&Program) -> usize),
         ("facts", |p| analysis::program_facts(p).reachable.len()),
@@ -75,17 +74,21 @@ fn bench_analyses(programs: &[Program]) {
             }
         }
         let secs = start.elapsed().as_secs_f64();
+        std::hint::black_box(sink);
         let analyzed = rounds * programs.len();
-        println!(
-            "ANALYSIS mode={mode} programs={} rounds={rounds} secs={secs:.6} \
-             programs_per_sec={:.2} sink={sink}",
-            programs.len(),
-            analyzed as f64 / secs,
+        report.row(
+            mode,
+            vec![
+                ("programs", Json::num(programs.len())),
+                ("rounds", Json::num(rounds)),
+                ("seconds", Json::Num(secs)),
+                ("programs_per_sec", Json::Num(analyzed as f64 / secs)),
+            ],
         );
     }
 }
 
-fn bench_symexec(programs: &[Program]) {
+fn bench_symexec(report: &mut Report, programs: &[Program]) {
     let base = symexec::SymExecConfig {
         max_paths: 16,
         max_steps: 200,
@@ -122,12 +125,22 @@ fn bench_symexec(programs: &[Program]) {
         } else {
             0.0
         };
-        println!(
-            "ANALYSIS mode=symexec use_analysis={use_analysis} programs={} paths={paths} \
-             solver_calls={calls} pruned_guards={pruned} call_reduction={reduction:.4} \
-             secs={secs:.6}",
-            programs.len(),
+        report.row(
+            "symexec",
+            vec![
+                ("use_analysis", Json::Bool(use_analysis)),
+                ("programs", Json::num(programs.len())),
+                ("paths", Json::num(paths)),
+                ("solver_calls", Json::num(calls)),
+                ("pruned_guards", Json::num(pruned)),
+                ("solver_call_reduction", Json::Num(reduction)),
+                ("seconds", Json::Num(secs)),
+            ],
         );
+        if use_analysis {
+            report.summary("pruned_guards", Json::num(pruned));
+            report.summary("solver_call_reduction", Json::Num(reduction));
+        }
     }
 }
 
@@ -141,7 +154,7 @@ const CONFUSABLE: [(Behavior, Behavior); 5] = [
     (Behavior::SumEven, Behavior::SumPositive),
 ];
 
-fn bench_canon() {
+fn bench_canon(report: &mut Report) {
     const DRAWS: usize = 6;
     let mut rng = StdRng::seed_from_u64(29);
 
@@ -200,15 +213,24 @@ fn bench_canon() {
         }
     }
 
-    println!(
-        "ANALYSIS mode=canon programs={} behaviors={} draws={DRAWS} distinct={} \
-         dedup_ratio={dedup_ratio:.4} pair_collapse={pair_collapse:.4} \
-         mutant_pairs={mutant_pairs} mutant_collisions={mutant_collisions} \
-         canon_us_per_program={canon_us:.2} secs={canon_secs:.6}",
-        parsed.len(),
-        Behavior::ALL.len(),
-        distinct.len(),
+    report.row(
+        "canon",
+        vec![
+            ("programs", Json::num(parsed.len())),
+            ("behaviors", Json::num(Behavior::ALL.len())),
+            ("draws", Json::num(DRAWS)),
+            ("distinct", Json::num(distinct.len())),
+            ("dedup_ratio", Json::Num(dedup_ratio)),
+            ("pair_collapse", Json::Num(pair_collapse)),
+            ("mutant_pairs", Json::num(mutant_pairs)),
+            ("mutant_collisions", Json::num(mutant_collisions)),
+            ("canon_us_per_program", Json::Num(canon_us)),
+            ("seconds", Json::Num(canon_secs)),
+        ],
     );
+    report.summary("dedup_ratio", Json::Num(dedup_ratio));
+    report.summary("pair_collapse", Json::Num(pair_collapse));
+    report.summary("pair_collapse_floor", Json::Num(0.30));
     assert!(
         pair_collapse >= 0.30,
         "variant-pair collapse {pair_collapse:.4} below the 30% floor"
@@ -238,15 +260,18 @@ fn bench_canon() {
     let memo_secs = start.elapsed().as_secs_f64();
 
     let extraction_reduction = 1.0 - encoder.misses as f64 / texts.len() as f64;
-    println!(
-        "ANALYSIS mode=canon_memo programs={} encodes_direct={} encodes_memo={} \
-         memo_hits={} extraction_reduction={extraction_reduction:.4} \
-         direct_secs={direct_secs:.6} memo_secs={memo_secs:.6} encode_speedup={:.2}",
-        texts.len(),
-        texts.len(),
-        encoder.misses,
-        encoder.hits,
-        direct_secs / memo_secs,
+    report.row(
+        "canon_memo",
+        vec![
+            ("programs", Json::num(texts.len())),
+            ("encodes_direct", Json::num(texts.len())),
+            ("encodes_memo", Json::Num(encoder.misses as f64)),
+            ("hits", Json::Num(encoder.hits as f64)),
+            ("extraction_reduction", Json::Num(extraction_reduction)),
+            ("direct_seconds", Json::Num(direct_secs)),
+            ("memo_seconds", Json::Num(memo_secs)),
+            ("encode_speedup", Json::Num(direct_secs / memo_secs)),
+        ],
     );
     assert_eq!(encoder.misses as usize, distinct.len(), "memo must extract once per canonical form");
     assert!(
@@ -261,9 +286,18 @@ fn bench_canon() {
 }
 
 fn main() {
+    let mut report = Report::new(
+        "throughput_analysis",
+        "53 datagen templates: lint + program_facts throughput; symexec path enumeration \
+         with/without analysis pruning on the distractor-augmented corpus (identical path sets \
+         asserted in-bench); canonicalizer dedup over a variant-heavy corpus (>= 30% pair \
+         collapse, zero mutant collisions, and memo encode-work reduction asserted in-bench)",
+        bench::Args::parse(),
+    );
     let programs = corpus();
     println!("\nstatic-analysis throughput over the {}-template corpus", programs.len());
-    bench_analyses(&programs);
-    bench_symexec(&corpus_with_distractors());
-    bench_canon();
+    bench_analyses(&mut report, &programs);
+    bench_symexec(&mut report, &corpus_with_distractors());
+    bench_canon(&mut report);
+    report.finish();
 }

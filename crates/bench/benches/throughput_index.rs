@@ -6,19 +6,19 @@
 //! - ANN recall@10 against the exact brute-force ranking must be
 //!   **≥ 0.95**.
 //!
-//! Lines are consumed by `scripts/bench_json.sh` into
-//! `BENCH_index.json`:
+//! The report lands in `BENCH_index.json` (`--json PATH`):
 //!
-//! - `INDEX mode=insert …` — insert rate into the persistent store,
-//! - `INDEX mode=search searcher={exact|ann} …` — per-query latency
-//!   percentiles at k=10 (the ANN row carries `recall_at_10`),
-//! - `INDEX mode=summary …` — the gates and the observed speedup.
+//! - `insert` row — insert rate into the persistent store,
+//! - `exact` / `ann` rows — per-query latency percentiles at k=10 (the
+//!   `ann` row carries the graph build time and `recall_at_10`),
+//! - summary — the gates and the observed speedup.
 //!
 //! `--smoke` shrinks the corpus (still past the ANN activation
 //! threshold) for the CI gate.
 
 use std::time::Instant;
 
+use bench::{Json, Report};
 use index::{Index, IndexConfig, SearchOptions};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -78,7 +78,14 @@ fn timed_searches(
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let mut report = Report::new(
+        "throughput_index",
+        "persistent embedding index (LGRI1): random 24-dim vectors; insert rate, exact \
+         brute-force vs HNSW-graph top-10 search latency (p99 < 100ms asserted in-bench), ANN \
+         recall@10 vs exact (>= 0.95 asserted in-bench)",
+        bench::Args::parse(),
+    );
+    let smoke = report.smoke();
     // Smoke keeps the corpus past a (lowered) activation threshold so
     // the graph path is still exercised, just on a tenth of the data.
     let (entries, queries_n, threshold) =
@@ -96,12 +103,26 @@ fn main() {
         ann_idx.insert(key as u64, v, &[]).expect("insert");
     }
     let insert_secs = start.elapsed().as_secs_f64();
-    println!(
-        "INDEX mode=insert entries={entries} dim={DIM} secs={insert_secs:.6} \
-         inserts_per_sec={:.2} bytes={}",
-        entries as f64 / insert_secs,
-        ann_idx.stats().bytes,
+    report.row(
+        "insert",
+        vec![
+            ("entries", Json::num(entries)),
+            ("dim", Json::num(DIM)),
+            ("seconds", Json::Num(insert_secs)),
+            ("inserts_per_sec", Json::Num(entries as f64 / insert_secs)),
+            ("bytes", Json::num(ann_idx.stats().bytes)),
+        ],
     );
+    let search_fields = |run: &SearchRun| {
+        vec![
+            ("entries", Json::num(entries)),
+            ("queries", Json::num(queries_n)),
+            ("k", Json::num(K)),
+            ("seconds", Json::Num(run.total_secs)),
+            ("p50_us", Json::Num(run.p50_us as f64)),
+            ("p99_us", Json::Num(run.p99_us as f64)),
+        ]
+    };
 
     // ---- exact search (brute force over the same corpus) ----------------
     let mut exact_idx = Index::with_config(
@@ -113,11 +134,7 @@ fn main() {
         exact_idx.insert(key as u64, v, &[]).expect("insert");
     }
     let (exact_run, exact_rankings) = timed_searches(&mut exact_idx, &queries, false);
-    println!(
-        "INDEX mode=search searcher=exact entries={entries} queries={queries_n} k={K} \
-         secs={:.6} p50_us={} p99_us={}",
-        exact_run.total_secs, exact_run.p50_us, exact_run.p99_us,
-    );
+    report.row("exact", search_fields(&exact_run));
 
     // ---- ANN search (graph active past the threshold) -------------------
     assert!(ann_idx.ann_active(), "corpus must cross the ANN activation threshold");
@@ -136,11 +153,10 @@ fn main() {
         overlap += ann.iter().filter(|key| exact.contains(key)).count();
     }
     let recall = overlap as f64 / (queries.len() * K) as f64;
-    println!(
-        "INDEX mode=search searcher=ann entries={entries} queries={queries_n} k={K} \
-         secs={:.6} p50_us={} p99_us={} build_secs={build_secs:.6} recall_at_10={recall:.4}",
-        ann_run.total_secs, ann_run.p50_us, ann_run.p99_us,
-    );
+    let mut ann_fields = search_fields(&ann_run);
+    ann_fields.push(("build_seconds", Json::Num(build_secs)));
+    ann_fields.push(("recall_at_10", Json::Num(recall)));
+    report.row("ann", ann_fields);
 
     // ---- the gates ------------------------------------------------------
     assert!(
@@ -153,10 +169,10 @@ fn main() {
         "ANN recall@10 fell below the {RECALL_GATE} gate: {recall:.4}"
     );
     let speedup = exact_run.p50_us as f64 / (ann_run.p50_us.max(1)) as f64;
-    println!(
-        "INDEX mode=summary entries={entries} p99_budget_us={P99_BUDGET_US} \
-         ann_p99_us={} recall_at_10={recall:.4} recall_gate={RECALL_GATE} \
-         ann_speedup_p50={speedup:.2} pass=true",
-        ann_run.p99_us,
-    );
+    report.summary("ann_p99_us", Json::Num(ann_run.p99_us as f64));
+    report.summary("p99_budget_us", Json::Num(P99_BUDGET_US as f64));
+    report.summary("recall_at_10", Json::Num(recall));
+    report.summary("recall_gate", Json::Num(RECALL_GATE));
+    report.summary("ann_speedup_p50", Json::Num(speedup));
+    report.finish();
 }

@@ -17,11 +17,11 @@
 //! * measures the same workload with tracing **enabled** for an
 //!   informational enabled/disabled ratio.
 //!
-//! Prints `OBS …` lines parsed by `scripts/bench_json.sh` into
-//! `BENCH_obs.json`.
+//! The report lands in `BENCH_obs.json` (`--json PATH`).
 
 use std::time::Instant;
 
+use bench::{Json, Report};
 use liger::{EncodedProgram, LigerConfig, LigerModel, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,6 +47,13 @@ fn measure_pass<F: FnMut(&EncodedProgram) -> u64>(
 }
 
 fn main() {
+    let mut report = Report::new(
+        "throughput_obs",
+        "memoized LIGER encoder over the tiny method-name dataset, span tracing off vs on; \
+         disabled-mode overhead modeled as ns_per_span x spans_per_program and asserted < 2% \
+         in-bench",
+        bench::Args::parse(),
+    );
     let ds = bench::tiny_dataset();
     let mut rng = StdRng::seed_from_u64(41);
     let mut store = ParamStore::new();
@@ -71,11 +78,18 @@ fn main() {
         encode_pass(&mut ws, prog);
     }
     let disabled_secs = measure_pass(&progs, rounds, |prog| encode_pass(&mut ws, prog));
-    println!(
-        "OBS mode=disabled programs={} rounds={rounds} secs={disabled_secs:.6} programs_per_sec={:.2}",
-        progs.len(),
-        progs.len() as f64 / disabled_secs,
-    );
+    let mut pass_row = |mode: &str, secs: f64| {
+        report.row(
+            mode,
+            vec![
+                ("programs", Json::num(progs.len())),
+                ("rounds", Json::num(rounds)),
+                ("seconds", Json::Num(secs)),
+                ("programs_per_sec", Json::Num(progs.len() as f64 / secs)),
+            ],
+        );
+    };
+    pass_row("disabled", disabled_secs);
 
     // Raw disabled-span cost: a tight loop of enter+drop with tracing off.
     const SPAN_LOOPS: u64 = 4_000_000;
@@ -100,22 +114,23 @@ fn main() {
     // The calibrated disabled-mode overhead bound.
     let per_program_ns = disabled_secs * 1e9 / progs.len() as f64;
     let overhead_frac = ns_per_span * spans_per_program / per_program_ns;
-    println!(
-        "OBS mode=spancost ns_per_span={ns_per_span:.2} spans_per_program={spans_per_program:.1} \
-         overhead_frac={overhead_frac:.5}"
-    );
 
     // Informational: the enabled-mode cost of the same workload.
     let enabled_secs = measure_pass(&progs, rounds, |prog| encode_pass(&mut ws, prog));
     obs::trace::reset();
     obs::trace::set_enabled(Some(false));
-    println!(
-        "OBS mode=enabled programs={} rounds={rounds} secs={enabled_secs:.6} \
-         programs_per_sec={:.2} enabled_over_disabled={:.3}",
-        progs.len(),
-        progs.len() as f64 / enabled_secs,
-        enabled_secs / disabled_secs,
+    pass_row("enabled", enabled_secs);
+    report.row(
+        "spancost",
+        vec![
+            ("ns_per_span", Json::Num(ns_per_span)),
+            ("spans_per_program", Json::Num(spans_per_program)),
+            ("overhead_frac", Json::Num(overhead_frac)),
+        ],
     );
+    report.summary("overhead_frac", Json::Num(overhead_frac));
+    report.summary("overhead_budget", Json::Num(0.02));
+    report.summary("enabled_over_disabled", Json::Num(enabled_secs / disabled_secs));
 
     assert!(
         overhead_frac < 0.02,
@@ -123,7 +138,5 @@ fn main() {
          ({ns_per_span:.2}ns/span × {spans_per_program:.1} spans/program on {per_program_ns:.0}ns/program)",
         overhead_frac * 100.0,
     );
-    println!(
-        "OBS mode=summary overhead_budget=0.02 overhead_frac={overhead_frac:.5} pass=true"
-    );
+    report.finish();
 }

@@ -2,18 +2,19 @@
 //!
 //! Trains the LIGER namer on the same workload at 1/2/4/8 worker threads
 //! and reports training throughput in examples/sec for each count (one
-//! `THROUGHPUT …` line per count, parsed by `scripts/bench_json.sh` into
-//! `BENCH_parallel.json`). The determinism contract means every run ends
-//! at bitwise-identical parameters — asserted here on every sweep — so
-//! the thread count is purely a throughput knob.
+//! `train` row per count; the report lands in `BENCH_parallel.json` via
+//! `--json PATH`). The determinism contract means every run ends at
+//! bitwise-identical parameters — asserted here on every sweep — so the
+//! thread count is purely a throughput knob.
 //!
 //! Scaling is bounded by the host: on a single-core machine all counts
 //! collapse to serial speed (minus a little scope/spawn overhead). The
-//! printed `host_threads` records what the sweep actually had available.
+//! report header's `host.cores` records what the sweep actually had
+//! available.
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use bench::{Json, Report};
 use liger::{LigerConfig, LigerNamer, NameSample, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,15 +67,21 @@ fn timed_run(
     (best, bits)
 }
 
-fn throughput_sweep(namer: &LigerNamer, store: &ParamStore, samples: &[NameSample]) {
-    let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+fn main() {
+    let mut report = Report::new(
+        "throughput_parallel",
+        "train_namer on the tiny method-name dataset, 2 epochs, batch_size 8, at 1/2/4/8 \
+         worker threads (bitwise-identical parameters asserted in-bench)",
+        bench::Args::parse(),
+    );
+    let (namer, store, samples) = workload();
     let tc = TrainConfig { epochs: 2, lr: 0.01, batch_size: 8 };
-    let work = (samples.len() * tc.epochs) as f64;
-    println!("\nparallel minibatch training throughput (host_threads={host})");
+    let examples = samples.len() * tc.epochs;
+    println!("\nparallel minibatch training throughput");
     let mut reference: Option<Vec<u32>> = None;
     let mut serial_rate = 0.0f64;
     for &threads in &[1usize, 2, 4, 8] {
-        let (secs, bits) = timed_run(namer, store, samples, &tc, threads);
+        let (secs, bits) = timed_run(&namer, &store, &samples, &tc, threads);
         match &reference {
             None => reference = Some(bits),
             Some(r) => assert_eq!(
@@ -82,11 +89,15 @@ fn throughput_sweep(namer: &LigerNamer, store: &ParamStore, samples: &[NameSampl
                 "determinism violated: {threads} threads diverged from serial"
             ),
         }
-        let rate = work / secs;
-        println!(
-            "THROUGHPUT threads={threads} examples={} secs={secs:.4} examples_per_sec={:.2} host_threads={host}",
-            samples.len() * tc.epochs,
-            rate,
+        let rate = examples as f64 / secs;
+        report.row(
+            "train",
+            vec![
+                ("threads", Json::num(threads)),
+                ("examples", Json::num(examples)),
+                ("seconds", Json::Num(secs)),
+                ("examples_per_sec", Json::Num(rate)),
+            ],
         );
         if threads == 1 {
             serial_rate = rate;
@@ -101,29 +112,10 @@ fn throughput_sweep(namer: &LigerNamer, store: &ParamStore, samples: &[NameSampl
                 "throughput degraded with thread count: {threads} threads ran at \
                  {rate:.1} ex/s vs {serial_rate:.1} ex/s serial"
             );
+            if threads == 2 {
+                report.summary("two_over_one_thread", Json::Num(rate / serial_rate));
+            }
         }
     }
+    report.finish();
 }
-
-fn bench_parallel_training(c: &mut Criterion) {
-    let (namer, store, samples) = workload();
-    throughput_sweep(&namer, &store, &samples);
-
-    // A Criterion-timed kernel on top of the sweep: one minibatch epoch at
-    // the environment-selected thread count.
-    let tc = TrainConfig { epochs: 1, lr: 0.01, batch_size: 8 };
-    let mut group = c.benchmark_group("parallel");
-    group.sample_size(10);
-    group.bench_function("train_namer_one_epoch", |b| {
-        b.iter(|| {
-            let mut s = store.clone();
-            let mut rng = StdRng::seed_from_u64(77);
-            liger::train_namer(&namer, &mut s, &samples, &tc, &mut rng);
-            s.num_scalars()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_parallel_training);
-criterion_main!(benches);

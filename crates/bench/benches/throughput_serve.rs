@@ -1,17 +1,17 @@
 //! Serving throughput: a real `liger-serve` TCP server on an ephemeral
 //! port, measured three ways.
 //!
-//! 1. **Pipelined sweep** (`SERVE` lines, one per client count): the
+//! 1. **Pipelined sweep** (`pipelined` rows, one per client count): the
 //!    PR 3 workload — N in-process clients each pipelining 64 embed
 //!    requests — showing micro-batch coalescing as concurrency grows.
 //!    The 8-client run is asserted in-bench to clear the PR 3 baseline
 //!    (3000.94 req/s), so the event-loop front end can never regress
 //!    the pipelined path.
-//! 2. **Framing allocation audit** (`SERVEALLOC` line): a counting
+//! 2. **Framing allocation audit** (`framing` row): a counting
 //!    `#[global_allocator]` drives the per-connection framing hot path
 //!    (incremental `FrameReader` decode + `write_frame_into` encode)
 //!    in steady state and asserts **zero** allocations per frame.
-//! 3. **Multi-process load phase** (`SERVELOAD` line): the bench
+//! 3. **Multi-process load phase** (`load` row): the bench
 //!    re-executes itself as separate load-generator processes, each
 //!    driving hundreds of concurrent connections through the same
 //!    readiness poller the server uses. Asserts ≥1k concurrent
@@ -22,8 +22,7 @@
 //! `--smoke` runs a scaled-down load phase only (CI gate);
 //! `--load-client ADDR CONNS PER_CONN SEED` is the internal child mode.
 //!
-//! All lines are consumed by `scripts/bench_json.sh` into
-//! `BENCH_serve.json`.
+//! The report lands in `BENCH_serve.json` (`--json PATH`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
@@ -32,6 +31,7 @@ use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use bench::Report;
 use liger::{
     train_namer, EncBlended, EncState, EncStep, EncTree, EncVar, EncodedProgram, LigerConfig,
     LigerNamer, ModelBundle, NameSample, OutVocab, TrainConfig, Vocab,
@@ -234,24 +234,7 @@ fn run(bundle: &ModelBundle, clients: usize, per_client: usize) -> Run {
     }
 }
 
-fn emit(r: &Run) {
-    let batch_factor = r.requests as f64 / (r.batches.max(1)) as f64;
-    println!(
-        "SERVE clients={} requests={} batches={} batch_factor={:.2} rejected={} \
-         secs={:.6} req_per_sec={:.2} p50_us={} p99_us={}",
-        r.clients,
-        r.requests,
-        r.batches,
-        batch_factor,
-        r.rejected,
-        r.secs,
-        r.requests as f64 / r.secs,
-        r.p50_us,
-        r.p99_us,
-    );
-}
-
-fn pipelined_sweep(bundle: &ModelBundle) {
+fn pipelined_sweep(report: &mut Report, bundle: &ModelBundle) {
     let per_client = 64;
     println!(
         "\nliger-serve loopback throughput ({per_client} pipelined embed requests per client)"
@@ -271,16 +254,34 @@ fn pipelined_sweep(bundle: &ModelBundle) {
                 best = Some(r);
             }
         }
-        let best = best.unwrap();
-        if best.clients == 8 {
-            let req_per_sec = best.requests as f64 / best.secs;
+        let r = best.unwrap();
+        let req_per_sec = r.requests as f64 / r.secs;
+        let batch_factor = r.requests as f64 / (r.batches.max(1)) as f64;
+        if clients == 8 {
             assert!(
                 req_per_sec >= BASELINE_8_CLIENTS_REQ_PER_SEC,
                 "8-client pipelined throughput regressed below the PR 3 baseline: \
                  {req_per_sec:.2} < {BASELINE_8_CLIENTS_REQ_PER_SEC} req/s"
             );
+            report.summary("req_per_sec_8_clients", Json::Num(req_per_sec));
+            let floor = BASELINE_8_CLIENTS_REQ_PER_SEC;
+            report.summary("req_per_sec_8_clients_floor", Json::Num(floor));
+            report.summary("batch_factor_8_clients", Json::Num(batch_factor));
         }
-        emit(&best);
+        report.row(
+            "pipelined",
+            vec![
+                ("clients", Json::num(r.clients)),
+                ("requests", Json::Num(r.requests as f64)),
+                ("batches", Json::Num(r.batches as f64)),
+                ("batch_factor", Json::Num(batch_factor)),
+                ("rejected", Json::Num(r.rejected as f64)),
+                ("seconds", Json::Num(r.secs)),
+                ("requests_per_sec", Json::Num(req_per_sec)),
+                ("p50_us", Json::Num(r.p50_us as f64)),
+                ("p99_us", Json::Num(r.p99_us as f64)),
+            ],
+        );
     }
 }
 
@@ -309,7 +310,7 @@ impl Read for RingReader {
 /// reused buffers — and asserts it allocates **nothing** per frame once
 /// warm. This is the per-connection cost of the event loop's framing
 /// layer, measured without JSON parse or inference.
-fn framing_alloc_audit() {
+fn framing_alloc_audit(report: &mut Report) {
     let frames = request_frames();
     let reply = serve::protocol::ok_response(vec![(
         "embedding",
@@ -353,10 +354,7 @@ fn framing_alloc_audit() {
         delta, 0,
         "steady-state framing allocated: {delta} allocations over {FRAMES} frames"
     );
-    println!(
-        "SERVEALLOC frames={FRAMES} allocs={delta} allocs_per_frame={:.4}",
-        delta as f64 / FRAMES as f64
-    );
+    report.row("framing", vec![("frames", Json::num(FRAMES)), ("allocs", Json::Num(delta as f64))]);
 }
 
 // ---------------------------------------------------------------------------
@@ -611,20 +609,22 @@ fn run_load(bundle: &ModelBundle, procs: usize, conns_per_proc: usize, per_conn:
     }
 }
 
-fn emit_load(r: &LoadResult) {
-    println!(
-        "SERVELOAD conns={} procs={} sent={} ok={} busy={} shed={} dropped=0 secs={:.6} \
-         req_per_sec={:.2} p99_us={}",
-        r.conns,
-        r.procs,
-        r.sent,
-        r.ok,
-        r.busy,
-        r.shed,
-        r.secs,
-        r.sent as f64 / r.secs,
-        r.p99_us,
+fn emit_load(report: &mut Report, r: &LoadResult) {
+    report.row(
+        "load",
+        vec![
+            ("connections", Json::num(r.conns)),
+            ("processes", Json::num(r.procs)),
+            ("requests", Json::Num(r.sent as f64)),
+            ("ok", Json::Num(r.ok as f64)),
+            ("busy", Json::Num(r.busy as f64)),
+            ("shed", Json::Num(r.shed as f64)),
+            ("seconds", Json::Num(r.secs)),
+            ("requests_per_sec", Json::Num(r.sent as f64 / r.secs)),
+            ("p99_us", Json::Num(r.p99_us as f64)),
+        ],
     );
+    report.summary("load_connections", Json::num(r.conns));
 }
 
 fn main() {
@@ -642,21 +642,28 @@ fn main() {
         );
         std::process::exit(code);
     }
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let mut report = Report::new(
+        "throughput_serve",
+        "liger-serve epoll front end: 64 pipelined embed requests per client over sharded \
+         micro-batching workers (8-client floor 3000.94 req/s asserted in-bench); \
+         zero-allocation steady-state framing asserted; multi-process load phase with zero \
+         dropped in-flight requests asserted",
+        bench::Args::parse(),
+    );
 
     let bundle = trained_bundle();
-    framing_alloc_audit();
-    if smoke {
+    framing_alloc_audit(&mut report);
+    if report.smoke() {
         // CI gate: a short high-concurrency run — 2 processes × 128
         // connections — with the same zero-drop and accounting asserts.
         let r = run_load(&bundle, 2, 128, 2);
-        emit_load(&r);
-        println!("serve load smoke: {} conns, zero drops", r.conns);
-        return;
+        emit_load(&mut report, &r);
+    } else {
+        pipelined_sweep(&mut report, &bundle);
+        // The headline load: ≥1k concurrent connections across 4 processes.
+        let r = run_load(&bundle, 4, 256, 4);
+        assert!(r.conns >= 1024, "load phase must reach 1k concurrent connections");
+        emit_load(&mut report, &r);
     }
-    pipelined_sweep(&bundle);
-    // The headline load: ≥1k concurrent connections across 4 processes.
-    let r = run_load(&bundle, 4, 256, 4);
-    assert!(r.conns >= 1024, "load phase must reach 1k concurrent connections");
-    emit_load(&r);
+    report.finish();
 }

@@ -6,17 +6,14 @@
 //! - the warm pass must report **zero** misses (no program re-traced),
 //! - warm samples must be bitwise identical to cold samples.
 //!
-//! Lines are consumed by `scripts/bench_json.sh` into
-//! `BENCH_store.json`:
-//!
-//! - `STORE mode=cold …` — generation + store population,
-//! - `STORE mode=warm …` — replay from disk (hits/misses reported),
-//! - `STORE mode=summary …` — the gates and the observed speedup.
-//!
-//! `--smoke` shrinks the corpus for the CI gate.
+//! The report (`cold` row: generation + store population; `warm` row:
+//! replay from disk; summary: the gates and the observed speedup) lands
+//! in `BENCH_store.json` (`--json PATH`). `--smoke` shrinks the corpus
+//! for the CI gate.
 
 use std::time::Instant;
 
+use bench::{Json, Report};
 use datagen::{generate_method_corpus_with_store, CorpusConfig, MethodCorpus};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,8 +49,14 @@ fn corpus_pass(
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (variants, paths, seed) = if smoke { (2, 6, 0x57) } else { (8, 12, 0x57) };
+    let mut report = Report::new(
+        "throughput_store",
+        "content-addressed artifact store (LGRS1): full method-corpus pass cold (trace + filter \
+         every program, populate the store) vs warm (replay every cached outcome; zero misses, \
+         bitwise-identical samples and >= 3x speedup asserted in-bench)",
+        bench::Args::parse(),
+    );
+    let (variants, paths, seed) = if report.smoke() { (2, 6, 0x57) } else { (8, 12, 0x57) };
     let config = config(variants, paths);
 
     let dir = std::env::temp_dir().join(format!("lgrs-bench-{}", std::process::id()));
@@ -63,25 +66,31 @@ fn main() {
     // ---- cold pass: trace everything, populate the store ----------------
     let (cold, cold_secs, cold_stats) = corpus_pass(&config, seed, &st);
     let programs = cold.stats.original;
-    println!(
-        "STORE mode=cold programs={programs} kept={} secs={cold_secs:.6} \
-         programs_per_sec={:.2} misses={} bytes={}",
-        cold.stats.kept,
-        programs as f64 / cold_secs,
-        cold_stats.misses,
-        cold_stats.bytes,
+    report.row(
+        "cold",
+        vec![
+            ("programs", Json::num(programs)),
+            ("kept", Json::num(cold.stats.kept)),
+            ("seconds", Json::Num(cold_secs)),
+            ("programs_per_sec", Json::Num(programs as f64 / cold_secs)),
+            ("misses", Json::Num(cold_stats.misses as f64)),
+            ("bytes", Json::Num(cold_stats.bytes as f64)),
+        ],
     );
 
     // ---- warm pass: replay every outcome from disk -----------------------
     let st = store::Store::open(&dir).expect("reopen store");
     let (warm, warm_secs, warm_stats) = corpus_pass(&config, seed, &st);
-    println!(
-        "STORE mode=warm programs={programs} kept={} secs={warm_secs:.6} \
-         programs_per_sec={:.2} hits={} misses={}",
-        warm.stats.kept,
-        programs as f64 / warm_secs,
-        warm_stats.hits,
-        warm_stats.misses,
+    report.row(
+        "warm",
+        vec![
+            ("programs", Json::num(programs)),
+            ("kept", Json::num(warm.stats.kept)),
+            ("seconds", Json::Num(warm_secs)),
+            ("programs_per_sec", Json::Num(programs as f64 / warm_secs)),
+            ("hits", Json::Num(warm_stats.hits as f64)),
+            ("misses", Json::Num(warm_stats.misses as f64)),
+        ],
     );
 
     // ---- the gates -------------------------------------------------------
@@ -97,11 +106,8 @@ fn main() {
         "warm corpus pass speedup {speedup:.2}x fell below the {SPEEDUP_FLOOR}x floor \
          (cold {cold_secs:.3}s, warm {warm_secs:.3}s)"
     );
-    println!(
-        "STORE mode=summary programs={programs} cold_secs={cold_secs:.6} \
-         warm_secs={warm_secs:.6} warm_speedup={speedup:.2} \
-         speedup_floor={SPEEDUP_FLOOR} warm_misses={} pass=true",
-        warm_stats.misses,
-    );
     std::fs::remove_dir_all(&dir).ok();
+    report.summary("warm_speedup", Json::Num(speedup));
+    report.summary("speedup_floor", Json::Num(SPEEDUP_FLOOR));
+    report.finish();
 }

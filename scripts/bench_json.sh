@@ -1,406 +1,14 @@
 #!/bin/bash
-# Runs the throughput bench suite and writes machine-readable results to
-# the repo root:
-#   * throughput_parallel (1/2/4/8 worker threads) -> BENCH_parallel.json
-#   * throughput_encode (cold vs steady-state allocations) -> BENCH_encode.json
-#   * throughput_kernels (GEMM GFLOP/s, f32 vs int8 encode) -> BENCH_kernels.json
-#   * throughput_serve (1/2/4/8 pipelining clients) -> BENCH_serve.json
-#   * throughput_analysis (lint/facts throughput + symexec pruning) -> BENCH_analysis.json
-#   * throughput_obs (disabled/enabled span-tracing overhead) -> BENCH_obs.json
-#   * throughput_index (insert rate, exact-vs-ANN search p99, recall@10) -> BENCH_index.json
-#   * throughput_store (cold-vs-warm corpus pass through the artifact store) -> BENCH_store.json
+# Runs the eight throughput benches and writes each one's report to
+# BENCH_<name>.json at the repo root. Every bench builds its own report
+# through bench::Report (one header + `results` rows + `summary`) and
+# asserts its own floors, so a failing gate stops the script before that
+# bench's file is replaced. Works from any cwd.
 #
-# Usage: scripts/bench_json.sh [parallel_out.json] [encode_out.json] [serve_out.json] [analysis_out.json] [obs_out.json] [kernels_out.json] [index_out.json] [store_out.json]
+# Usage: scripts/bench_json.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-par_out="${1:-BENCH_parallel.json}"
-enc_out="${2:-BENCH_encode.json}"
-srv_out="${3:-BENCH_serve.json}"
-ana_out="${4:-BENCH_analysis.json}"
-obs_out="${5:-BENCH_obs.json}"
-ker_out="${6:-BENCH_kernels.json}"
-idx_out="${7:-BENCH_index.json}"
-sto_out="${8:-BENCH_store.json}"
-
-# ---- parallel minibatch throughput --------------------------------------
-bench_out=$(cargo bench -p bench --bench throughput_parallel 2>&1)
-echo "$bench_out"
-
-rows=$(echo "$bench_out" | grep '^THROUGHPUT' | awk '
-{
-    delete kv
-    for (i = 2; i <= NF; i++) { split($i, p, "="); kv[p[1]] = p[2] }
-    if (NR > 1) printf ",\n"
-    printf "    {\"threads\": %s, \"examples\": %s, \"seconds\": %s, \"examples_per_sec\": %s}",
-        kv["threads"], kv["examples"], kv["secs"], kv["examples_per_sec"]
-    host = kv["host_threads"]
-}
-END { printf "\n"; print "HOST=" host > "/dev/stderr" }' 2>/tmp/bench_json_host)
-host=$(sed -n 's/^HOST=//p' /tmp/bench_json_host)
-
-if [ -z "$rows" ]; then
-    echo "error: no THROUGHPUT lines in bench output" >&2
-    exit 1
-fi
-
-{
-    echo '{'
-    echo '  "bench": "throughput_parallel",'
-    echo '  "workload": "train_namer, tiny method-name dataset, 2 epochs, batch_size 8",'
-    echo "  \"host_threads\": ${host:-1},"
-    echo '  "results": ['
-    printf '%s\n' "$rows"
-    echo '  ]'
-    echo '}'
-} > "$par_out"
-
-echo "wrote $par_out"
-
-# ---- encoder allocation pressure (cold vs steady-state) -----------------
-enc_bench_out=$(cargo bench -p bench --bench throughput_encode 2>&1)
-echo "$enc_bench_out"
-
-enc_json=$(echo "$enc_bench_out" | grep '^ENCODE' | awk '
-{
-    delete kv
-    for (i = 2; i <= NF; i++) { split($i, p, "="); kv[p[1]] = p[2] }
-    if (kv["mode"] == "summary") {
-        summary = sprintf("  \"alloc_reduction\": %s,\n  \"speedup\": %s,\n  \"memo_replays\": %s",
-            kv["alloc_reduction"], kv["speedup"], kv["replays"])
-        next
-    }
-    if (nmodes++ > 0) modes = modes ",\n"
-    modes = modes sprintf("    {\"mode\": \"%s\", \"programs\": %s, \"rounds\": %s, \"seconds\": %s, \"programs_per_sec\": %s, \"allocs_per_program\": %s, \"bytes_per_program\": %s}",
-        kv["mode"], kv["programs"], kv["rounds"], kv["secs"],
-        kv["programs_per_sec"], kv["allocs_per_program"], kv["bytes_per_program"])
-}
-END {
-    if (nmodes == 0) exit 1
-    print "  \"results\": ["
-    print modes
-    print "  ],"
-    print summary
-}')
-
-if [ -z "$enc_json" ]; then
-    echo "error: no ENCODE lines in bench output" >&2
-    exit 1
-fi
-
-{
-    echo '{'
-    echo '  "bench": "throughput_encode",'
-    echo '  "workload": "LIGER encoder forward, tiny method-name dataset, cold (fresh graph, uncached) vs steady-state (reused workspace, memoized)",'
-    printf '%s\n' "$enc_json"
-    echo '}'
-} > "$enc_out"
-
-echo "wrote $enc_out"
-
-# ---- fused kernel throughput (GEMM GFLOP/s, f32 vs int8 encode) ---------
-ker_bench_out=$(cargo bench -p bench --bench throughput_kernels 2>&1)
-echo "$ker_bench_out"
-
-ker_json=$(echo "$ker_bench_out" | grep '^KERNEL' | awk '
-{
-    delete kv
-    for (i = 2; i <= NF; i++) { split($i, p, "="); kv[p[1]] = p[2] }
-    if (kv["mode"] == "summary") {
-        summary = sprintf("  \"gemm_gflops\": %s,\n  \"f32_programs_per_sec\": %s,\n  \"int8_programs_per_sec\": %s,\n  \"baseline_programs_per_sec\": %s,\n  \"f32_speedup_vs_baseline\": %s,\n  \"int8_speedup_vs_baseline\": %s",
-            kv["gemm_gflops"], kv["f32_programs_per_sec"], kv["int8_programs_per_sec"],
-            kv["baseline_programs_per_sec"], kv["f32_speedup_vs_baseline"], kv["int8_speedup_vs_baseline"])
-        next
-    }
-    if (kv["mode"] == "gemm") {
-        if (ngemm++ > 0) gemm = gemm ",\n"
-        gemm = gemm sprintf("    {\"rows\": %s, \"cols\": %s, \"batch\": %s, \"reps\": %s, \"seconds\": %s, \"gflops\": %s}",
-            kv["rows"], kv["cols"], kv["batch"], kv["reps"], kv["secs"], kv["gflops"])
-        next
-    }
-    if (nenc++ > 0) enc = enc ",\n"
-    enc = enc sprintf("    {\"mode\": \"%s\", \"programs\": %s, \"seconds\": %s, \"programs_per_sec\": %s}",
-        kv["mode"], kv["programs"], kv["secs"], kv["programs_per_sec"])
-}
-END {
-    if (ngemm == 0 || nenc == 0 || summary == "") exit 1
-    print "  \"gemm\": ["
-    print gemm
-    print "  ],"
-    print "  \"encode\": ["
-    print enc
-    print "  ],"
-    print summary
-}')
-
-if [ -z "$ker_json" ]; then
-    echo "error: no KERNEL lines in bench output" >&2
-    exit 1
-fi
-
-{
-    echo '{'
-    echo '  "bench": "throughput_kernels",'
-    echo '  "workload": "gemm_batch on representative encoder shapes (GFLOP/s, autovectorization floor asserted in-bench); tape-free f32 batch-major vs int8 quantized encode over the tiny method-name dataset",'
-    printf '%s\n' "$ker_json"
-    echo '}'
-} > "$ker_out"
-
-echo "wrote $ker_out"
-
-# ---- serving throughput (micro-batched TCP loopback) --------------------
-srv_bench_out=$(cargo bench -p bench --bench throughput_serve 2>&1)
-echo "$srv_bench_out"
-
-srv_rows=$(echo "$srv_bench_out" | grep '^SERVE ' | awk '
-{
-    delete kv
-    for (i = 2; i <= NF; i++) { split($i, p, "="); kv[p[1]] = p[2] }
-    if (NR > 1) printf ",\n"
-    printf "    {\"clients\": %s, \"requests\": %s, \"batches\": %s, \"batch_factor\": %s, \"rejected\": %s, \"seconds\": %s, \"requests_per_sec\": %s, \"p50_us\": %s, \"p99_us\": %s}",
-        kv["clients"], kv["requests"], kv["batches"], kv["batch_factor"],
-        kv["rejected"], kv["secs"], kv["req_per_sec"], kv["p50_us"], kv["p99_us"]
-}')
-
-if [ -z "$srv_rows" ]; then
-    echo "error: no SERVE lines in bench output" >&2
-    exit 1
-fi
-
-srv_alloc=$(echo "$srv_bench_out" | grep '^SERVEALLOC' | awk '
-{
-    delete kv
-    for (i = 2; i <= NF; i++) { split($i, p, "="); kv[p[1]] = p[2] }
-    printf "  \"framing\": {\"frames\": %s, \"allocs\": %s, \"allocs_per_frame\": %s},",
-        kv["frames"], kv["allocs"], kv["allocs_per_frame"]
-}')
-
-srv_load=$(echo "$srv_bench_out" | grep '^SERVELOAD' | awk '
-{
-    delete kv
-    for (i = 2; i <= NF; i++) { split($i, p, "="); kv[p[1]] = p[2] }
-    printf "  \"load\": {\"connections\": %s, \"processes\": %s, \"requests\": %s, \"ok\": %s, \"busy\": %s, \"shed\": %s, \"dropped\": %s, \"seconds\": %s, \"requests_per_sec\": %s, \"p99_us\": %s}",
-        kv["conns"], kv["procs"], kv["sent"], kv["ok"], kv["busy"], kv["shed"],
-        kv["dropped"], kv["secs"], kv["req_per_sec"], kv["p99_us"]
-}')
-
-if [ -z "$srv_alloc" ] || [ -z "$srv_load" ]; then
-    echo "error: no SERVEALLOC/SERVELOAD lines in bench output" >&2
-    exit 1
-fi
-
-{
-    echo '{'
-    echo '  "bench": "throughput_serve",'
-    echo '  "workload": "liger-serve epoll front end: 64 pipelined embed requests per client over sharded micro-batching workers (8-client floor 3000.94 req/s asserted in-bench); zero-allocation steady-state framing asserted; 1024-connection 4-process load phase with zero dropped in-flight requests asserted",'
-    echo '  "results": ['
-    printf '%s\n' "$srv_rows"
-    echo '  ],'
-    printf '%s\n' "$srv_alloc"
-    printf '%s\n' "$srv_load"
-    echo '}'
-} > "$srv_out"
-
-echo "wrote $srv_out"
-
-# ---- static-analysis throughput & symexec pruning -----------------------
-ana_bench_out=$(cargo bench -p bench --bench throughput_analysis 2>&1)
-echo "$ana_bench_out"
-
-ana_json=$(echo "$ana_bench_out" | grep '^ANALYSIS' | awk '
-{
-    delete kv
-    for (i = 2; i <= NF; i++) { split($i, p, "="); kv[p[1]] = p[2] }
-    if (kv["mode"] == "symexec") {
-        if (nsym++ > 0) sym = sym ",\n"
-        sym = sym sprintf("    {\"use_analysis\": %s, \"programs\": %s, \"paths\": %s, \"solver_calls\": %s, \"pruned_guards\": %s, \"solver_call_reduction\": %s, \"seconds\": %s}",
-            kv["use_analysis"], kv["programs"], kv["paths"], kv["solver_calls"],
-            kv["pruned_guards"], kv["call_reduction"], kv["secs"])
-        next
-    }
-    if (kv["mode"] == "canon") {
-        canon = sprintf("    \"programs\": %s,\n    \"behaviors\": %s,\n    \"draws\": %s,\n    \"distinct\": %s,\n    \"dedup_ratio\": %s,\n    \"pair_collapse\": %s,\n    \"mutant_pairs\": %s,\n    \"mutant_collisions\": %s,\n    \"canon_us_per_program\": %s,\n    \"seconds\": %s",
-            kv["programs"], kv["behaviors"], kv["draws"], kv["distinct"],
-            kv["dedup_ratio"], kv["pair_collapse"], kv["mutant_pairs"],
-            kv["mutant_collisions"], kv["canon_us_per_program"], kv["secs"])
-        next
-    }
-    if (kv["mode"] == "canon_memo") {
-        memo = sprintf("    \"memo\": {\"encodes_direct\": %s, \"encodes_memo\": %s, \"hits\": %s, \"extraction_reduction\": %s, \"direct_secs\": %s, \"memo_secs\": %s, \"encode_speedup\": %s}",
-            kv["encodes_direct"], kv["encodes_memo"], kv["memo_hits"],
-            kv["extraction_reduction"], kv["direct_secs"], kv["memo_secs"],
-            kv["encode_speedup"])
-        next
-    }
-    if (nthr++ > 0) thr = thr ",\n"
-    thr = thr sprintf("    {\"mode\": \"%s\", \"programs\": %s, \"rounds\": %s, \"seconds\": %s, \"programs_per_sec\": %s}",
-        kv["mode"], kv["programs"], kv["rounds"], kv["secs"], kv["programs_per_sec"])
-}
-END {
-    if (nthr == 0 || nsym == 0 || canon == "" || memo == "") exit 1
-    print "  \"throughput\": ["
-    print thr
-    print "  ],"
-    print "  \"symexec_pruning\": ["
-    print sym
-    print "  ],"
-    print "  \"canon\": {"
-    print canon ","
-    print memo
-    print "  }"
-}')
-
-if [ -z "$ana_json" ]; then
-    echo "error: no ANALYSIS lines in bench output" >&2
-    exit 1
-fi
-
-{
-    echo '{'
-    echo '  "bench": "throughput_analysis",'
-    echo '  "workload": "53 datagen templates: lint + program_facts throughput; symexec path enumeration with/without analysis pruning on the distractor-augmented corpus (identical path sets asserted in-bench); canonicalizer dedup over a variant-heavy corpus (>=30% pair collapse, zero mutant collisions, and memo encode-work reduction asserted in-bench)",'
-    printf '%s\n' "$ana_json"
-    echo '}'
-} > "$ana_out"
-
-echo "wrote $ana_out"
-
-# ---- observability overhead (disabled/enabled span tracing) -------------
-obs_bench_out=$(cargo bench -p bench --bench throughput_obs 2>&1)
-echo "$obs_bench_out"
-
-obs_json=$(echo "$obs_bench_out" | grep '^OBS' | awk '
-{
-    delete kv
-    for (i = 2; i <= NF; i++) { split($i, p, "="); kv[p[1]] = p[2] }
-    if (kv["mode"] == "spancost") {
-        spancost = sprintf("  \"ns_per_disabled_span\": %s,\n  \"spans_per_program\": %s,\n  \"disabled_overhead_frac\": %s",
-            kv["ns_per_span"], kv["spans_per_program"], kv["overhead_frac"])
-        next
-    }
-    if (kv["mode"] == "summary") {
-        summary = sprintf("  \"overhead_budget\": %s,\n  \"pass\": %s", kv["overhead_budget"], kv["pass"])
-        next
-    }
-    if (nmodes++ > 0) modes = modes ",\n"
-    modes = modes sprintf("    {\"mode\": \"%s\", \"programs\": %s, \"rounds\": %s, \"seconds\": %s, \"programs_per_sec\": %s}",
-        kv["mode"], kv["programs"], kv["rounds"], kv["secs"], kv["programs_per_sec"])
-}
-END {
-    if (nmodes == 0 || spancost == "" || summary == "") exit 1
-    print "  \"results\": ["
-    print modes
-    print "  ],"
-    print spancost ","
-    print summary
-}')
-
-if [ -z "$obs_json" ]; then
-    echo "error: no OBS lines in bench output" >&2
-    exit 1
-fi
-
-{
-    echo '{'
-    echo '  "bench": "throughput_obs",'
-    echo '  "workload": "memoized LIGER encoder over the tiny method-name dataset, span tracing off vs on; disabled-mode overhead modeled as ns_per_disabled_span x spans_per_program and asserted < 2% in-bench",'
-    printf '%s\n' "$obs_json"
-    echo '}'
-} > "$obs_out"
-
-echo "wrote $obs_out"
-
-# ---- embedding-index throughput (insert rate, exact vs ANN, recall) -----
-idx_bench_out=$(cargo bench -p bench --bench throughput_index 2>&1)
-echo "$idx_bench_out"
-
-idx_json=$(echo "$idx_bench_out" | grep '^INDEX' | awk '
-{
-    delete kv
-    for (i = 2; i <= NF; i++) { split($i, p, "="); kv[p[1]] = p[2] }
-    if (kv["mode"] == "insert") {
-        insert = sprintf("  \"insert\": {\"entries\": %s, \"dim\": %s, \"seconds\": %s, \"inserts_per_sec\": %s, \"bytes\": %s},",
-            kv["entries"], kv["dim"], kv["secs"], kv["inserts_per_sec"], kv["bytes"])
-        next
-    }
-    if (kv["mode"] == "summary") {
-        summary = sprintf("  \"p99_budget_us\": %s,\n  \"recall_at_10\": %s,\n  \"recall_gate\": %s,\n  \"ann_speedup_p50\": %s,\n  \"pass\": %s",
-            kv["p99_budget_us"], kv["recall_at_10"], kv["recall_gate"], kv["ann_speedup_p50"], kv["pass"])
-        next
-    }
-    if (nsearch++ > 0) search = search ",\n"
-    recall = (kv["recall_at_10"] != "") ? sprintf(", \"recall_at_10\": %s", kv["recall_at_10"]) : ""
-    search = search sprintf("    {\"searcher\": \"%s\", \"entries\": %s, \"queries\": %s, \"k\": %s, \"seconds\": %s, \"p50_us\": %s, \"p99_us\": %s%s}",
-        kv["searcher"], kv["entries"], kv["queries"], kv["k"], kv["secs"],
-        kv["p50_us"], kv["p99_us"], recall)
-}
-END {
-    if (insert == "" || nsearch == 0 || summary == "") exit 1
-    print insert
-    print "  \"search\": ["
-    print search
-    print "  ],"
-    print summary
-}')
-
-if [ -z "$idx_json" ]; then
-    echo "error: no INDEX lines in bench output" >&2
-    exit 1
-fi
-
-{
-    echo '{'
-    echo '  "bench": "throughput_index",'
-    echo '  "workload": "persistent embedding index (LGRI1): 10k random 24-dim vectors; insert rate, exact brute-force vs HNSW-graph top-10 search latency (p99 < 100ms asserted in-bench), ANN recall@10 vs exact (>= 0.95 asserted in-bench)",'
-    printf '%s\n' "$idx_json"
-    echo '}'
-} > "$idx_out.tmp"
-mv "$idx_out.tmp" "$idx_out"
-
-echo "wrote $idx_out"
-
-# ---- artifact-store incremental pipeline (cold vs warm corpus pass) ------
-sto_bench_out=$(cargo bench -p bench --bench throughput_store 2>&1)
-echo "$sto_bench_out"
-
-sto_json=$(echo "$sto_bench_out" | grep '^STORE' | awk '
-{
-    delete kv
-    for (i = 2; i <= NF; i++) { split($i, p, "="); kv[p[1]] = p[2] }
-    if (kv["mode"] == "cold") {
-        cold = sprintf("  \"cold\": {\"programs\": %s, \"kept\": %s, \"seconds\": %s, \"programs_per_sec\": %s, \"misses\": %s, \"bytes\": %s},",
-            kv["programs"], kv["kept"], kv["secs"], kv["programs_per_sec"], kv["misses"], kv["bytes"])
-        next
-    }
-    if (kv["mode"] == "warm") {
-        warm = sprintf("  \"warm\": {\"programs\": %s, \"kept\": %s, \"seconds\": %s, \"programs_per_sec\": %s, \"hits\": %s, \"misses\": %s},",
-            kv["programs"], kv["kept"], kv["secs"], kv["programs_per_sec"], kv["hits"], kv["misses"])
-        next
-    }
-    if (kv["mode"] == "summary") {
-        summary = sprintf("  \"warm_speedup\": %s,\n  \"speedup_floor\": %s,\n  \"warm_misses\": %s,\n  \"pass\": %s",
-            kv["warm_speedup"], kv["speedup_floor"], kv["warm_misses"], kv["pass"])
-    }
-}
-END {
-    if (cold == "" || warm == "" || summary == "") exit 1
-    print cold
-    print warm
-    print summary
-}')
-
-if [ -z "$sto_json" ]; then
-    echo "error: no STORE lines in bench output" >&2
-    exit 1
-fi
-
-{
-    echo '{'
-    echo '  "bench": "throughput_store",'
-    echo '  "workload": "content-addressed artifact store (LGRS1): full method-corpus pass cold (trace + filter every program, populate the store) vs warm (replay every cached outcome; zero misses and >= 3x speedup asserted in-bench, warm samples bitwise identical)",'
-    printf '%s\n' "$sto_json"
-    echo '}'
-} > "$sto_out.tmp"
-mv "$sto_out.tmp" "$sto_out"
-
-echo "wrote $sto_out"
+for b in parallel encode kernels serve analysis obs index store; do
+    cargo bench -p bench --bench "throughput_$b" -- --json "$PWD/BENCH_$b.json"
+done
