@@ -1,72 +1,34 @@
-//! # bench — the benchmark harness regenerating every table and figure
+//! # bench — the paper-claims report and the throughput benches
 //!
-//! Each Criterion bench target corresponds to one table or figure of the
-//! paper's §6 (see `DESIGN.md` §3 for the index). Every target first
-//! *regenerates and prints* its table's rows at the scale selected by the
-//! `LIGER_SCALE` environment variable (`tiny`/`bench`/`med`/`large`;
-//! default `bench`), then times a representative kernel so Criterion has
-//! something meaningful to measure.
+//! Every bench target is a plain `fn main` executable that reports
+//! through one [`Report`]: one JSON schema (header + `results` rows +
+//! `summary`), checked by [`check_report`], printed, and written to
+//! `--json PATH` when given. `scripts/bench_json.sh` regenerates every
+//! committed `BENCH_*.json` that way.
 //!
-//! Run one experiment:
+//! - `paper` regenerates the paper's §6 — Tables 1–3, Figures 6–11 and
+//!   the §6.1.2 attention share — as one `results` row per table/figure
+//!   row, the row's `mode` naming the artifact (`table2`,
+//!   `fig6_concrete`, …), and records the paper's orderings in its
+//!   summary;
+//! - the `throughput_*` targets measure the system and gate their own
+//!   floors in-bench.
 //!
 //! ```text
-//! cargo bench -p bench --bench table2_method_name
-//! LIGER_SCALE=med cargo bench -p bench --bench fig6_concrete_reduction
+//! cargo bench -p bench --bench paper -- --json "$PWD/BENCH_paper.json"
+//! cargo bench -p bench --bench throughput_encode -- --smoke
 //! ```
-//!
-//! The `throughput_*` targets are plain `fn main` executables that gate
-//! their own floors in-bench and report through one [`Report`]: one JSON
-//! schema (header + `results` rows + `summary`), checked by
-//! [`check_report`], printed, and written to `--json PATH` when given.
-//! `scripts/bench_json.sh` regenerates every committed `BENCH_*.json`
-//! that way.
 
 use std::path::PathBuf;
 
-use eval::Scale;
 pub use obs::json::Json;
 
-/// Banner printed before each regenerated table.
-pub fn banner(id: &str, paper: &str, scale: &Scale) {
-    println!("\n==============================================================");
-    println!("{id} — {paper}");
-    println!("scale = {} (set LIGER_SCALE=tiny|bench|med|large to change)", scale.name);
-    println!("==============================================================");
-}
-
-/// A tiny shared workload for Criterion kernels: one prepared dataset at
-/// tiny scale (built once, reused by the timed closures).
+/// A tiny shared workload: one prepared dataset at tiny scale.
 pub fn tiny_dataset() -> eval::MethodDataset {
-    eval::build_method_dataset(&Scale::tiny()).0
+    eval::build_method_dataset(&eval::Scale::tiny()).0
 }
 
-/// The scale used by the *figure* benches (each retrains models at many
-/// reduction levels, so their default is lighter than the single-table
-/// benches'). `LIGER_SCALE` overrides it like everywhere else.
-pub fn figure_scale() -> Scale {
-    if let Ok(name) = std::env::var("LIGER_SCALE") {
-        if let Some(scale) = Scale::by_name(&name) {
-            return scale;
-        }
-    }
-    // Calibration note: below ~5 variants per family and ~16 epochs the
-    // blended model is undertrained and the paper's orderings invert —
-    // the figure scale must stay above that threshold.
-    Scale {
-        name: "fig".into(),
-        variants_per_family: 5,
-        hidden: 16,
-        epochs: 16,
-        lr: 0.015,
-        target_paths: 6,
-        concrete_per_path: 4,
-        max_steps: 18,
-        max_traces: 6,
-        seed: 5,
-    }
-}
-
-/// The command line shared by the `throughput_*` benches.
+/// The command line shared by the bench targets.
 pub struct Args {
     /// `--smoke`: the scaled-down CI run (benches without one ignore it).
     pub smoke: bool,
@@ -98,7 +60,7 @@ impl Args {
 /// One bench's results in the shared `BENCH_*.json` schema.
 ///
 /// ```json
-/// {"bench": "throughput_x", "workload": "…", "scale": "full" | "smoke",
+/// {"bench": "<target>", "workload": "…", "scale": "full" | "smoke",
 ///  "host": {"cores": 2, "simd": ["sse2", …]}, "git_rev": "…",
 ///  "results": [{"mode": "…", …}, …], "summary": {…}}
 /// ```
@@ -193,11 +155,8 @@ pub fn check_report(report: &Json) -> Result<(), String> {
     }
     // Every `get` below is on a key checked present above.
     let text = |v: &Json, key: &str| v.get(key).and_then(Json::as_str).unwrap_or("").to_string();
-    if !text(report, "bench").starts_with("throughput_") {
-        return Err("`bench` must name a throughput_* target".into());
-    }
-    if text(report, "workload").is_empty() || text(report, "git_rev").is_empty() {
-        return Err("`workload` and `git_rev` must be non-empty strings".into());
+    if ["bench", "workload", "git_rev"].iter().any(|key| text(report, key).is_empty()) {
+        return Err("`bench`, `workload` and `git_rev` must be non-empty strings".into());
     }
     if !matches!(text(report, "scale").as_str(), "full" | "smoke") {
         return Err("`scale` must be \"full\" or \"smoke\"".into());

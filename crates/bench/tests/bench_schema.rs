@@ -1,6 +1,7 @@
 //! Every committed `BENCH_*.json` at the repo root is a full-scale report
 //! in the one schema `bench::Report` writes, and there is exactly one
-//! per `throughput_*` bench target.
+//! per bench target: `BENCH_<name>.json` for `throughput_<name>`, and
+//! `BENCH_paper.json` for `paper`.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -19,17 +20,20 @@ fn committed_bench_reports_match_the_schema() {
     let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
     let root = crate_dir.join("../..");
     let reports = stems(&root, "BENCH_", ".json");
-    let targets = stems(&crate_dir.join("benches"), "throughput_", ".rs");
-    assert_eq!(reports, targets, "one committed BENCH_<name>.json per throughput_<name> bench");
+    let targets = stems(&crate_dir.join("benches"), "", ".rs");
+    let report_of = |target: &str| target.strip_prefix("throughput_").unwrap_or(target).to_string();
+    let expected: BTreeSet<String> = targets.iter().map(|t| report_of(t)).collect();
+    assert_eq!(reports, expected, "one committed BENCH_<name>.json per bench target");
 
-    for name in &reports {
+    for target in &targets {
+        let name = report_of(target);
         let path = root.join(format!("BENCH_{name}.json"));
         let text = std::fs::read_to_string(&path).expect("read report");
         let report = obs::json::parse(&text).unwrap_or_else(|e| panic!("BENCH_{name}.json: {e}"));
         bench::check_report(&report).unwrap_or_else(|e| panic!("BENCH_{name}.json: {e}"));
         assert_eq!(
             report.get("bench").and_then(|b| b.as_str()),
-            Some(format!("throughput_{name}").as_str()),
+            Some(target.as_str()),
             "BENCH_{name}.json names another bench"
         );
         assert_eq!(
@@ -53,6 +57,7 @@ fn check_report_rejects_malformed_reports() {
         good.replace(r#""v":1"#, r#""v":null"#),
         good.replace(r#""scale":"full""#, r#""scale":"tiny""#),
         good.replace(r#","summary":{}"#, ""),
+        good.replace(r#""bench":"throughput_x""#, r#""bench":"""#),
     ] {
         let report = obs::json::parse(&bad).unwrap();
         assert!(bench::check_report(&report).is_err(), "accepted {bad}");

@@ -1,7 +1,10 @@
-//! Experiment drivers — one entry point per table/figure of §6.
+//! Experiment drivers — one entry point per table/figure of §6 (Fig. 11
+//! summarizes cells of Figs. 6 and 8–10, so it needs none).
 //!
-//! Every driver is deterministic given a [`Scale`] (which fixes the seed,
-//! corpus size, and model size). Absolute numbers differ from the paper
+//! Every driver reads its trained models from one [`Cells`] memo per
+//! [`Scale`], so each distinct configuration trains once, and is
+//! deterministic given the scale (which fixes the seed, corpus size, and
+//! model size). Absolute numbers differ from the paper
 //! (synthetic corpus, small models, CPU — see EXPERIMENTS.md); the
 //! *shapes* are the reproduction target: model ordering in Table 2/3,
 //! LIGER's flatness under concrete-trace reduction, its resilience under
@@ -26,6 +29,7 @@ use liger::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use randgen::GenConfig;
+use std::cell::{OnceCell, RefCell};
 use tensor::ParamStore;
 
 /// The size of one experimental run: corpus scale + model scale + seeds.
@@ -99,13 +103,23 @@ impl Scale {
         }
     }
 
-    /// The scale selected by the `LIGER_SCALE` environment variable, or
-    /// [`Scale::bench`] when unset/unknown.
-    pub fn from_env() -> Scale {
-        std::env::var("LIGER_SCALE")
-            .ok()
-            .and_then(|n| Scale::by_name(&n))
-            .unwrap_or_else(Scale::bench)
+    /// The scale named by the `LIGER_SCALE` environment variable, or
+    /// `default()` when it is unset.
+    ///
+    /// # Panics
+    ///
+    /// If `LIGER_SCALE` is set to a name [`Scale::by_name`] does not know.
+    pub fn from_env_or(default: impl FnOnce() -> Scale) -> Scale {
+        Scale::named_or(std::env::var("LIGER_SCALE").ok().as_deref(), default)
+    }
+
+    fn named_or(name: Option<&str>, default: impl FnOnce() -> Scale) -> Scale {
+        match name {
+            None => default(),
+            Some(name) => Scale::by_name(name).unwrap_or_else(|| {
+                panic!("LIGER_SCALE={name:?} names no scale; valid names: tiny, bench, med, large")
+            }),
+        }
     }
 
     /// The Java-med analogue (bench scale; minutes).
@@ -564,20 +578,164 @@ fn code2seq_scores(ds: &MethodDataset, scale: &Scale) -> NameScores {
     metric.into()
 }
 
+/// A model of the §6 comparisons; LIGER carries its §6.3 ablation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Model {
+    /// code2vec (method names only).
+    Code2Vec,
+    /// code2seq (method names only).
+    Code2Seq,
+    /// DYPRO, on the concrete traces out of the blended ones.
+    Dypro,
+    /// LIGER under one ablation.
+    Liger(Ablation),
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Task {
+    MethodName,
+    Coset,
+}
+
+/// One cell: a model trained and tested at one reduction level.
+type CellKey = (Task, Model, PathLevel, usize);
+
+#[derive(Debug, Clone, Copy)]
+enum CellScores {
+    Name(NameScores, Option<f64>),
+    Class(ClassScores),
+}
+
+/// The §6 experiments over one [`Scale`]: its two datasets, each built
+/// on first use, and a memo of every trained-and-evaluated cell keyed
+/// by (task, model, ablation, path level, concrete count). Every table
+/// and figure driver reads its cells from here, so a configuration that
+/// several of them show — DYPRO at full data, Fig. 11's summary of the
+/// ablation figures — trains once.
+pub struct Cells {
+    scale: Scale,
+    method: OnceCell<(MethodDataset, FilterStats)>,
+    coset: OnceCell<(CosetDataset, FilterStats)>,
+    requests: RefCell<Vec<CellKey>>,
+    memo: RefCell<Vec<(CellKey, CellScores)>>,
+}
+
+impl Cells {
+    /// Experiments at `scale`; nothing is built or trained yet.
+    pub fn new(scale: Scale) -> Cells {
+        Cells {
+            scale,
+            method: OnceCell::new(),
+            coset: OnceCell::new(),
+            requests: RefCell::default(),
+            memo: RefCell::default(),
+        }
+    }
+
+    /// The scale every cell runs at.
+    pub fn scale(&self) -> &Scale {
+        &self.scale
+    }
+
+    /// The method-name dataset and its Table 1 filter statistics.
+    pub fn method(&self) -> &(MethodDataset, FilterStats) {
+        self.method.get_or_init(|| build_method_dataset(&self.scale))
+    }
+
+    /// The COSET-like dataset and its filter statistics.
+    pub fn coset(&self) -> &(CosetDataset, FilterStats) {
+        self.coset.get_or_init(|| build_coset_dataset(&self.scale))
+    }
+
+    /// How many cells the drivers asked for, repeats included.
+    pub fn requested(&self) -> usize {
+        self.requests.borrow().len()
+    }
+
+    /// How many distinct cells the drivers asked for.
+    pub fn distinct(&self) -> usize {
+        let requests = self.requests.borrow();
+        (0..requests.len()).filter(|&i| !requests[..i].contains(&requests[i])).count()
+    }
+
+    /// How many models were trained: one per distinct cell.
+    pub fn trainings(&self) -> usize {
+        self.memo.borrow().len()
+    }
+
+    fn cell(&self, key: CellKey, train: impl FnOnce() -> CellScores) -> CellScores {
+        self.requests.borrow_mut().push(key);
+        if let Some(&(_, scores)) = self.memo.borrow().iter().find(|(k, _)| *k == key) {
+            return scores;
+        }
+        let scores = train();
+        self.memo.borrow_mut().push((key, scores));
+        scores
+    }
+
+    /// Method-name scores of `model` trained and tested at `paths` ×
+    /// `concrete`, with LIGER's mean static-feature attention (the
+    /// §6.1.2 measurement; `None` for the other models). The static
+    /// baselines see neither trace dimension, so they ignore both levels.
+    pub fn name_scores(
+        &self,
+        model: Model,
+        paths: PathLevel,
+        concrete: usize,
+    ) -> (NameScores, Option<f64>) {
+        let (ds, scale) = (&self.method().0, &self.scale);
+        let scores = self.cell((Task::MethodName, model, paths, concrete), || {
+            let (scores, attention) = match model {
+                Model::Code2Vec => (code2vec_scores(ds, scale), None),
+                Model::Code2Seq => (code2seq_scores(ds, scale), None),
+                Model::Dypro => (dypro_method_scores(ds, scale, paths, concrete), None),
+                Model::Liger(ablation) => liger_method_scores(ds, scale, ablation, paths, concrete),
+            };
+            CellScores::Name(scores, attention)
+        });
+        let CellScores::Name(scores, attention) = scores else {
+            unreachable!("method-name cells hold name scores")
+        };
+        (scores, attention)
+    }
+
+    /// COSET classification scores of `model` trained and tested at
+    /// `paths` × `concrete`.
+    ///
+    /// # Panics
+    ///
+    /// For code2vec and code2seq, which have no classification head.
+    pub fn class_scores(&self, model: Model, paths: PathLevel, concrete: usize) -> ClassScores {
+        let (ds, scale) = (&self.coset().0, &self.scale);
+        let scores = self.cell((Task::Coset, model, paths, concrete), || {
+            CellScores::Class(match model {
+                Model::Dypro => dypro_coset_scores(ds, scale, paths, concrete),
+                Model::Liger(ablation) => liger_coset_scores(ds, scale, ablation, paths, concrete),
+                Model::Code2Vec | Model::Code2Seq => {
+                    panic!("{model:?} has no classification head")
+                }
+            })
+        });
+        let CellScores::Class(scores) = scores else {
+            unreachable!("COSET cells hold class scores")
+        };
+        scores
+    }
+}
+
 /// **Table 2** — method-name prediction: all four models on one dataset
 /// scale. Rows in the paper's order.
-pub fn table2(ds: &MethodDataset, scale: &Scale) -> Vec<(String, NameScores)> {
-    let c2v = code2vec_scores(ds, scale);
-    let c2s = code2seq_scores(ds, scale);
-    let dypro = dypro_method_scores(ds, scale, PathLevel::Full, scale.concrete_per_path);
-    let (liger, _) =
-        liger_method_scores(ds, scale, Ablation::Full, PathLevel::Full, scale.concrete_per_path);
-    vec![
-        ("code2vec".into(), c2v),
-        ("code2seq".into(), c2s),
-        ("DYPRO".into(), dypro),
-        ("LIGER".into(), liger),
+pub fn table2(cells: &Cells) -> Vec<(String, NameScores)> {
+    let concrete = cells.scale.concrete_per_path;
+    [
+        ("code2vec", Model::Code2Vec),
+        ("code2seq", Model::Code2Seq),
+        ("DYPRO", Model::Dypro),
+        ("LIGER", Model::Liger(Ablation::Full)),
     ]
+    .into_iter()
+    .map(|(name, model)| (name.into(), cells.name_scores(model, PathLevel::Full, concrete).0))
+    .collect()
 }
 
 /// One row of a concrete-trace reduction figure.
@@ -597,13 +755,13 @@ pub struct ConcreteRow {
 /// **Figure 6a/6b** (and Figure 8's concrete half under an ablation) —
 /// F1 as concrete traces per blended trace are reduced, symbolic traces
 /// constant.
-pub fn fig6_concrete(ds: &MethodDataset, scale: &Scale, ablation: Ablation) -> Vec<ConcreteRow> {
-    (1..=scale.concrete_per_path)
+pub fn fig6_concrete(cells: &Cells, ablation: Ablation) -> Vec<ConcreteRow> {
+    (1..=cells.scale.concrete_per_path)
         .rev()
         .map(|concrete| {
             let (liger, attn) =
-                liger_method_scores(ds, scale, ablation, PathLevel::Full, concrete);
-            let dypro = dypro_method_scores(ds, scale, PathLevel::Full, concrete);
+                cells.name_scores(Model::Liger(ablation), PathLevel::Full, concrete);
+            let (dypro, _) = cells.name_scores(Model::Dypro, PathLevel::Full, concrete);
             ConcreteRow {
                 concrete,
                 liger_f1: liger.f1,
@@ -637,16 +795,22 @@ pub fn symbolic_levels() -> Vec<PathLevel> {
     ]
 }
 
+/// Concrete traces per path under the symbolic reduction (three, per
+/// §6.1.2, or fewer when the scale collects fewer).
+pub fn symbolic_concrete(scale: &Scale) -> usize {
+    3.min(scale.concrete_per_path)
+}
+
 /// **Figure 6c/6d** (and Figures 9/10's symbolic halves under ablations)
 /// — F1 as symbolic traces are removed while line coverage is preserved
 /// (three concrete traces per path, per §6.1.2).
-pub fn fig6_symbolic(ds: &MethodDataset, scale: &Scale, ablation: Ablation) -> Vec<SymbolicRow> {
-    let concrete = 3.min(scale.concrete_per_path);
+pub fn fig6_symbolic(cells: &Cells, ablation: Ablation) -> Vec<SymbolicRow> {
+    let concrete = symbolic_concrete(&cells.scale);
     symbolic_levels()
         .into_iter()
         .map(|level| {
-            let (liger, _) = liger_method_scores(ds, scale, ablation, level, concrete);
-            let dypro = dypro_method_scores(ds, scale, level, concrete);
+            let (liger, _) = cells.name_scores(Model::Liger(ablation), level, concrete);
+            let (dypro, _) = cells.name_scores(Model::Dypro, level, concrete);
             SymbolicRow { level: level.label(), liger_f1: liger.f1, dypro_f1: dypro.f1 }
         })
         .collect()
@@ -789,11 +953,12 @@ pub fn dypro_coset_scores(
 }
 
 /// **Table 3** — COSET semantics classification, DYPRO vs LIGER.
-pub fn table3(ds: &CosetDataset, scale: &Scale) -> Vec<(String, ClassScores)> {
-    let dypro = dypro_coset_scores(ds, scale, PathLevel::Full, scale.concrete_per_path);
-    let liger =
-        liger_coset_scores(ds, scale, Ablation::Full, PathLevel::Full, scale.concrete_per_path);
-    vec![("DYPRO".into(), dypro), ("LIGER".into(), liger)]
+pub fn table3(cells: &Cells) -> Vec<(String, ClassScores)> {
+    let concrete = cells.scale.concrete_per_path;
+    [("DYPRO", Model::Dypro), ("LIGER", Model::Liger(Ablation::Full))]
+        .into_iter()
+        .map(|(name, model)| (name.into(), cells.class_scores(model, PathLevel::Full, concrete)))
+        .collect()
 }
 
 /// One row of Figure 7 (COSET down-sampling).
@@ -809,74 +974,22 @@ pub struct CosetReductionRow {
 
 /// **Figure 7** — COSET accuracy under concrete- and symbolic-trace
 /// down-sampling.
-pub fn fig7(ds: &CosetDataset, scale: &Scale) -> Vec<CosetReductionRow> {
-    let mut rows = Vec::new();
-    for concrete in (1..=scale.concrete_per_path).rev() {
-        let liger =
-            liger_coset_scores(ds, scale, Ablation::Full, PathLevel::Full, concrete);
-        let dypro = dypro_coset_scores(ds, scale, PathLevel::Full, concrete);
-        rows.push(CosetReductionRow {
-            level: format!("concrete={concrete}"),
-            liger_acc: liger.accuracy,
-            dypro_acc: dypro.accuracy,
-        });
-    }
-    let concrete = 2.min(scale.concrete_per_path);
+pub fn fig7(cells: &Cells) -> Vec<CosetReductionRow> {
+    let liger = Model::Liger(Ablation::Full);
+    let row = |level: String, paths: PathLevel, concrete: usize| CosetReductionRow {
+        level,
+        liger_acc: cells.class_scores(liger, paths, concrete).accuracy,
+        dypro_acc: cells.class_scores(Model::Dypro, paths, concrete).accuracy,
+    };
+    let mut rows: Vec<CosetReductionRow> = (1..=cells.scale.concrete_per_path)
+        .rev()
+        .map(|concrete| row(format!("concrete={concrete}"), PathLevel::Full, concrete))
+        .collect();
+    let concrete = 2.min(cells.scale.concrete_per_path);
     for level in symbolic_levels() {
-        let liger = liger_coset_scores(ds, scale, Ablation::Full, level, concrete);
-        let dypro = dypro_coset_scores(ds, scale, level, concrete);
-        rows.push(CosetReductionRow {
-            level: format!("paths={}", level.label()),
-            liger_acc: liger.accuracy,
-            dypro_acc: dypro.accuracy,
-        });
+        rows.push(row(format!("paths={}", level.label()), level, concrete));
     }
     rows
-}
-
-/// One row of the Figure 11 ablation summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AblationRow {
-    /// The configuration name.
-    pub config: String,
-    /// F1 at full data (%).
-    pub full_f1: f64,
-    /// F1 at the minimum line-cover path set (%).
-    pub min_cover_f1: f64,
-    /// F1 with a single concrete trace per path (%).
-    pub one_concrete_f1: f64,
-}
-
-/// **Figure 11** — every ablation configuration (full, w/o static, w/o
-/// dynamic, w/o attention) at full data, minimum path cover, and single
-/// concrete trace.
-pub fn fig11(ds: &MethodDataset, scale: &Scale) -> Vec<AblationRow> {
-    [
-        ("LIGER", Ablation::Full),
-        ("LIGER w/o static", Ablation::NoStatic),
-        ("LIGER w/o dynamic", Ablation::NoDynamic),
-        ("LIGER w/o attention", Ablation::NoAttention),
-    ]
-    .into_iter()
-    .map(|(name, ablation)| {
-        let (full, _) = liger_method_scores(
-            ds,
-            scale,
-            ablation,
-            PathLevel::Full,
-            scale.concrete_per_path,
-        );
-        let (cover, _) = liger_method_scores(ds, scale, ablation, PathLevel::MinCover, 3);
-        let (one, _) =
-            liger_method_scores(ds, scale, ablation, PathLevel::Full, 1);
-        AblationRow {
-            config: name.into(),
-            full_f1: full.f1,
-            min_cover_f1: cover.f1,
-            one_concrete_f1: one.f1,
-        }
-    })
-    .collect()
 }
 
 #[cfg(test)]
@@ -930,9 +1043,19 @@ mod tests {
     }
 
     #[test]
+    fn unknown_scale_names_are_rejected() {
+        assert_eq!(Scale::named_or(None, Scale::tiny).name, "tiny");
+        assert_eq!(Scale::named_or(Some("med"), Scale::tiny).name, "med");
+        let fig = std::panic::catch_unwind(|| Scale::named_or(Some("fig"), Scale::bench));
+        let message = fig.expect_err("`fig` is no scale name");
+        let message = message.downcast_ref::<String>().expect("formatted panic");
+        assert!(message.contains("\"fig\"") && message.contains("tiny, bench, med, large"));
+    }
+
+    #[test]
     fn tiny_table2_runs_end_to_end() {
-        let (ds, _) = build_method_dataset(&Scale::tiny());
-        let rows = table2(&ds, &Scale::tiny());
+        let cells = Cells::new(Scale::tiny());
+        let rows = table2(&cells);
         assert_eq!(rows.len(), 4);
         for (name, scores) in &rows {
             assert!(
@@ -940,12 +1063,14 @@ mod tests {
                 "{name} F1 out of range: {scores:?}"
             );
         }
+        // Asking again is served from the memo, bit for bit.
+        assert_eq!(table2(&cells), rows);
+        assert_eq!((cells.requested(), cells.distinct(), cells.trainings()), (8, 4, 4));
     }
 
     #[test]
     fn tiny_table3_runs_end_to_end() {
-        let (ds, _) = build_coset_dataset(&Scale::tiny());
-        let rows = table3(&ds, &Scale::tiny());
+        let rows = table3(&Cells::new(Scale::tiny()));
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|(_, s)| s.accuracy >= 0.0 && s.accuracy <= 100.0));
     }

@@ -8,7 +8,8 @@
 //!   train-split vocabularies and min-line-cover path ordering,
 //! - [`baseline_train`] — training loops for code2vec/code2seq/DYPRO,
 //! - [`experiments`] — one driver per table/figure (Table 1/2/3,
-//!   Figures 6–11) at configurable [`Scale`]s,
+//!   Figures 6–10) at configurable [`Scale`]s, every trained model
+//!   memoized per scale in one [`Cells`],
 //! - [`report`] — markdown renderers for the regenerated rows.
 //!
 //! # Examples
@@ -39,11 +40,11 @@ pub use baseline_train::{
 pub use experiments::{
     build_coset_dataset, build_coset_dataset_stored, build_method_dataset,
     build_method_dataset_stored, dypro_coset_scores, dypro_method_scores,
-    eval_coset_classifier, eval_method_namer, fig11, fig6_concrete, fig6_symbolic, fig7,
+    eval_coset_classifier, eval_method_namer, fig6_concrete, fig6_symbolic, fig7,
     liger_coset_scores, liger_method_scores, load_coset_classifier, load_method_namer,
-    symbolic_levels, table1, table2, table3, train_coset_classifier, train_method_namer,
-    AblationRow, ClassScores, ConcreteRow, CosetReductionRow, NameScores, PathLevel, Scale,
-    SymbolicRow,
+    symbolic_concrete, symbolic_levels, table1, table2, table3, train_coset_classifier,
+    train_method_namer, Cells, ClassScores, ConcreteRow, CosetReductionRow, Model, NameScores,
+    PathLevel, Scale, SymbolicRow,
 };
 pub use metrics::{Accuracy, ClassF1, PrecisionRecallF1};
 pub use pipeline::{
@@ -51,7 +52,4 @@ pub use pipeline::{
     prepare_method_dataset, CosetDataset, MethodDataset, MethodVocabs, PreparedCoset,
     PreparedMethod, PrepareOptions,
 };
-pub use report::{
-    concrete_markdown, fig11_markdown, fig7_markdown, symbolic_markdown, table1_markdown,
-    table2_markdown, table3_markdown,
-};
+pub use report::{concrete_markdown, symbolic_markdown, table2_markdown, table3_markdown};

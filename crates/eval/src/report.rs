@@ -1,26 +1,8 @@
-//! Markdown/console renderers for experiment results — the rows the bench
-//! harness prints so each table/figure can be compared against the paper.
+//! Markdown renderers for experiment results — the tables the examples
+//! print so a run can be compared against the paper.
 
-use crate::experiments::{
-    AblationRow, ClassScores, ConcreteRow, CosetReductionRow, NameScores, SymbolicRow,
-};
-use datagen::FilterStats;
+use crate::experiments::{ClassScores, ConcreteRow, NameScores, SymbolicRow};
 use std::fmt::Write;
-
-/// Renders Table 1's row for one dataset scale.
-pub fn table1_markdown(scale_name: &str, stats: &FilterStats) -> String {
-    let mut out = String::new();
-    writeln!(out, "| Dataset | Original | Filtered | no-compile | no-exec | timeout | too-small |")
-        .unwrap();
-    writeln!(out, "|---|---|---|---|---|---|---|").unwrap();
-    writeln!(
-        out,
-        "| {scale_name} | {} | {} | {} | {} | {} | {} |",
-        stats.original, stats.kept, stats.no_compile, stats.no_exec, stats.timeout, stats.too_small
-    )
-    .unwrap();
-    out
-}
 
 /// Renders Table 2 rows for one dataset scale.
 pub fn table2_markdown(scale_name: &str, rows: &[(String, NameScores)]) -> String {
@@ -71,43 +53,12 @@ pub fn table3_markdown(rows: &[(String, ClassScores)]) -> String {
     out
 }
 
-/// Renders Figure 7's reduction rows.
-pub fn fig7_markdown(rows: &[CosetReductionRow]) -> String {
-    let mut out = String::new();
-    writeln!(out, "| Level | LIGER acc | DYPRO acc |").unwrap();
-    writeln!(out, "|---|---|---|").unwrap();
-    for r in rows {
-        writeln!(out, "| {} | {:.1}% | {:.1}% |", r.level, r.liger_acc, r.dypro_acc).unwrap();
-    }
-    out
-}
-
-/// Renders Figure 11's ablation summary.
-pub fn fig11_markdown(rows: &[AblationRow]) -> String {
-    let mut out = String::new();
-    writeln!(out, "| Configuration | F1 full | F1 min-cover | F1 one-concrete |").unwrap();
-    writeln!(out, "|---|---|---|---|").unwrap();
-    for r in rows {
-        writeln!(
-            out,
-            "| {} | {:.2} | {:.2} | {:.2} |",
-            r.config, r.full_f1, r.min_cover_f1, r.one_concrete_f1
-        )
-        .unwrap();
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn tables_render_nonempty_markdown() {
-        let stats = FilterStats { original: 10, kept: 8, no_compile: 1, too_small: 1, ..Default::default() };
-        let t1 = table1_markdown("med", &stats);
-        assert!(t1.contains("| med | 10 | 8 |"));
-
         let rows =
             vec![("LIGER".to_string(), NameScores { precision: 40.0, recall: 30.0, f1: 34.3 })];
         let t2 = table2_markdown("med", &rows);

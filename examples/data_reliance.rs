@@ -7,16 +7,13 @@
 //! cargo run --release --example data_reliance
 //! ```
 
-use eval::{
-    build_method_dataset, concrete_markdown, fig6_concrete, fig6_symbolic, symbolic_markdown,
-    Scale,
-};
+use eval::{concrete_markdown, fig6_concrete, fig6_symbolic, symbolic_markdown, Cells, Scale};
 use liger::Ablation;
 
 fn main() {
-    let scale = Scale::tiny();
-    println!("building the dataset at scale '{}'…\n", scale.name);
-    let (dataset, _) = build_method_dataset(&scale);
+    let cells = Cells::new(Scale::tiny());
+    println!("building the dataset at scale '{}'…\n", cells.scale().name);
+    let (dataset, _) = cells.method();
 
     let avg_paths: f64 = dataset.train.iter().map(|s| s.blended.len() as f64).sum::<f64>()
         / dataset.train.len().max(1) as f64;
@@ -27,11 +24,11 @@ fn main() {
     );
 
     println!("— reducing concrete traces per blended trace (Fig. 6a/6b) —");
-    let concrete = fig6_concrete(&dataset, &scale, Ablation::Full);
+    let concrete = fig6_concrete(&cells, Ablation::Full);
     println!("{}", concrete_markdown("concrete-reduction", &concrete));
 
     println!("— reducing symbolic traces, line coverage preserved (Fig. 6c/6d) —");
-    let symbolic = fig6_symbolic(&dataset, &scale, Ablation::Full);
+    let symbolic = fig6_symbolic(&cells, Ablation::Full);
     println!("{}", symbolic_markdown("symbolic-reduction", &symbolic));
 
     println!(

@@ -15,8 +15,8 @@
 //! `method_name_prediction.trace.json` (chrome://tracing format).
 
 use eval::{
-    build_method_dataset, eval_method_namer, load_method_namer, table2, table2_markdown,
-    train_method_namer, PathLevel, Scale,
+    eval_method_namer, load_method_namer, table2, table2_markdown, train_method_namer, Cells,
+    PathLevel, Scale,
 };
 use liger::Ablation;
 
@@ -59,9 +59,10 @@ fn run() {
     let save = flag_value("--save");
     let load = flag_value("--load");
 
-    let scale = Scale::tiny();
+    let cells = Cells::new(Scale::tiny());
+    let scale = cells.scale();
     println!("generating the method-name corpus at scale '{}'…", scale.name);
-    let (dataset, stats) = build_method_dataset(&scale);
+    let (dataset, stats) = cells.method();
     println!(
         "corpus: {} generated → {} kept ({} no-compile, {} no-exec, {} timeout, {} too-small)",
         stats.original, stats.kept, stats.no_compile, stats.no_exec, stats.timeout, stats.too_small
@@ -76,12 +77,12 @@ fn run() {
     let (paths, concrete) = (PathLevel::Full, scale.concrete_per_path);
     if let Some(path) = load {
         println!("loading LIGER checkpoint from {path}…");
-        let (namer, store) = load_method_namer(&dataset, &scale, Ablation::Full, &path)
+        let (namer, store) = load_method_namer(dataset, scale, Ablation::Full, &path)
             .unwrap_or_else(|e| {
                 eprintln!("cannot load checkpoint: {e}");
                 std::process::exit(2);
             });
-        let (scores, _) = eval_method_namer(&namer, &store, &dataset, &scale, paths, concrete);
+        let (scores, _) = eval_method_namer(&namer, &store, dataset, scale, paths, concrete);
         println!(
             "LIGER (from checkpoint): precision {:.1}%, recall {:.1}%, F1 {:.1}%",
             scores.precision, scores.recall, scores.f1
@@ -90,8 +91,8 @@ fn run() {
     }
     if let Some(path) = save {
         println!("training LIGER only (skipping baselines for --save)…");
-        let (namer, store) = train_method_namer(&dataset, &scale, Ablation::Full, paths, concrete);
-        let (scores, _) = eval_method_namer(&namer, &store, &dataset, &scale, paths, concrete);
+        let (namer, store) = train_method_namer(dataset, scale, Ablation::Full, paths, concrete);
+        let (scores, _) = eval_method_namer(&namer, &store, dataset, scale, paths, concrete);
         println!(
             "LIGER: precision {:.1}%, recall {:.1}%, F1 {:.1}%",
             scores.precision, scores.recall, scores.f1
@@ -105,7 +106,7 @@ fn run() {
     }
 
     println!("training code2vec, code2seq, DYPRO, and LIGER (this takes a minute)…\n");
-    let rows = table2(&dataset, &scale);
+    let rows = table2(&cells);
     println!("{}", table2_markdown(&scale.name, &rows));
 
     let best = rows
@@ -115,7 +116,7 @@ fn run() {
     println!("best model by F1: {}", best.0);
     println!(
         "\n(Paper shape on full-scale data: LIGER > DYPRO > code2seq > code2vec.\n\
-         Run `LIGER_SCALE=med cargo bench -p bench --bench table2_method_name`\n\
-         for the bench-scale regeneration.)"
+         `cargo bench -p bench --bench paper` regenerates Table 2 at bench\n\
+         scale; `LIGER_SCALE=med` selects a bigger corpus.)"
     );
 }

@@ -16,8 +16,8 @@
 //! `semantics_classification.trace.json` (chrome://tracing format).
 
 use eval::{
-    build_coset_dataset, eval_coset_classifier, load_coset_classifier, table3, table3_markdown,
-    train_coset_classifier, PathLevel, Scale,
+    eval_coset_classifier, load_coset_classifier, table3, table3_markdown, train_coset_classifier,
+    Cells, PathLevel, Scale,
 };
 use liger::Ablation;
 
@@ -60,9 +60,10 @@ fn run() {
     let save = flag_value("--save");
     let load = flag_value("--load");
 
-    let scale = Scale::tiny();
+    let cells = Cells::new(Scale::tiny());
+    let scale = cells.scale();
     println!("generating the COSET-like corpus at scale '{}'…", scale.name);
-    let (dataset, stats) = build_coset_dataset(&scale);
+    let (dataset, stats) = cells.coset();
     println!(
         "corpus: {} generated → {} kept; {} classes; {} train / {} test\n",
         stats.original,
@@ -90,12 +91,12 @@ fn run() {
     let (paths, concrete) = (PathLevel::Full, scale.concrete_per_path);
     if let Some(path) = load {
         println!("loading LIGER classifier checkpoint from {path}…");
-        let (cls, store) = load_coset_classifier(&dataset, &scale, Ablation::Full, &path)
+        let (cls, store) = load_coset_classifier(dataset, scale, Ablation::Full, &path)
             .unwrap_or_else(|e| {
                 eprintln!("cannot load checkpoint: {e}");
                 std::process::exit(2);
             });
-        let scores = eval_coset_classifier(&cls, &store, &dataset, &scale, paths, concrete);
+        let scores = eval_coset_classifier(&cls, &store, dataset, scale, paths, concrete);
         println!(
             "LIGER (from checkpoint): accuracy {:.1}%, macro-F1 {:.2}",
             scores.accuracy, scores.f1
@@ -105,8 +106,8 @@ fn run() {
     if let Some(path) = save {
         println!("training LIGER only (skipping DYPRO for --save)…");
         let (cls, store) =
-            train_coset_classifier(&dataset, &scale, Ablation::Full, paths, concrete);
-        let scores = eval_coset_classifier(&cls, &store, &dataset, &scale, paths, concrete);
+            train_coset_classifier(dataset, scale, Ablation::Full, paths, concrete);
+        let scores = eval_coset_classifier(&cls, &store, dataset, scale, paths, concrete);
         println!("LIGER: accuracy {:.1}%, macro-F1 {:.2}", scores.accuracy, scores.f1);
         if let Err(e) = store.save_to_path(&path) {
             eprintln!("cannot save checkpoint to {path}: {e}");
@@ -117,7 +118,7 @@ fn run() {
     }
 
     println!("training DYPRO and LIGER classifiers…\n");
-    let rows = table3(&dataset, &scale);
+    let rows = table3(&cells);
     println!("{}", table3_markdown(&rows));
     println!(
         "(Paper shape: LIGER beats DYPRO — 85.4%/0.85 vs 81.6%/0.81 at full scale.)"

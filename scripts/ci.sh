@@ -12,7 +12,7 @@
 #   - profiled-quickstart trace validation and the --quantize gate;
 #   - artifact-store red-green gate (warm quickstart: zero misses);
 #   - the in-bench gates of the serve, obs, kernels, encode, index and
-#     store throughput benches.
+#     store throughput benches, and the paper report at tiny scale.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -269,3 +269,9 @@ echo "artifact-store red-green gate passed (warm quickstart: zero misses)"
 # warm pass misses zero programs, replays bitwise-identical samples, and
 # clears the 3x warm-speedup floor.
 cargo bench -p bench --bench throughput_store -- --smoke
+
+# ---- paper claims at tiny scale -----------------------------------------
+# Every table and figure of §6 at tiny scale; asserts in-bench that each
+# distinct cell trains once, Table 1's filter totals add up, every score
+# is in range, and the w/o-attention static share is uniform.
+cargo bench -p bench --bench paper -- --smoke
