@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use bench::{Json, Report};
-use datagen::{generate_method_corpus_with_store, CorpusConfig, MethodCorpus};
+use datagen::{generate_method_corpus, CorpusConfig, MethodCorpus};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,7 +43,7 @@ fn corpus_pass(
     let mut rng = StdRng::seed_from_u64(seed);
     let start = Instant::now();
     let corpus =
-        generate_method_corpus_with_store(config, &mut rng, Some(st)).expect("store pass");
+        generate_method_corpus(config, &mut rng, Some(st)).expect("store pass");
     let secs = start.elapsed().as_secs_f64();
     (corpus, secs, store::StoreStats::snapshot().since(&before))
 }

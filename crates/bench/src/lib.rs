@@ -25,7 +25,7 @@ pub use obs::json::Json;
 
 /// A tiny shared workload: one prepared dataset at tiny scale.
 pub fn tiny_dataset() -> eval::MethodDataset {
-    eval::build_method_dataset(&eval::Scale::tiny()).0
+    eval::build_method_dataset(&eval::Scale::tiny(), None).expect("no store, no store error").0
 }
 
 /// The command line shared by the bench targets.

@@ -50,7 +50,7 @@ pub struct FilterStats {
 }
 
 /// One usable sample of the method-name corpus.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MethodSample {
     /// The ground-truth method name.
     pub name: String,
@@ -63,7 +63,7 @@ pub struct MethodSample {
 }
 
 /// One usable sample of the COSET-like corpus.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CosetSample {
     /// The algorithm-strategy class label.
     pub label: usize,
@@ -94,11 +94,10 @@ pub struct CorpusConfig {
     pub gen: GenConfig,
     /// Minimum statement count (the "too small" filter).
     pub min_statements: usize,
-    /// Base seed for the *store-aware* pipeline's per-program trace RNGs.
-    /// Each program's executions are drawn from
-    /// `splitmix64(content_hash ^ gen_seed)`, so a cache hit skips exactly
-    /// the draws that program would have consumed — the shared corpus RNG
-    /// stream never observes whether the store was warm.
+    /// Base seed of the per-program trace RNGs. Each program's executions
+    /// are drawn from `splitmix64(content_hash ^ gen_seed)`, so a cache hit
+    /// skips exactly the draws that program would have consumed — the
+    /// shared corpus RNG stream never observes whether the store was warm.
     pub gen_seed: u64,
 }
 
@@ -119,23 +118,20 @@ impl Default for CorpusConfig {
     }
 }
 
-/// A generated method-name corpus plus its filtering statistics.
-#[derive(Debug, Clone)]
-pub struct MethodCorpus {
+/// A generated corpus plus its filtering statistics.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Corpus<S> {
     /// The surviving samples.
-    pub samples: Vec<MethodSample>,
+    pub samples: Vec<S>,
     /// Table 1 statistics.
     pub stats: FilterStats,
 }
 
-/// A generated COSET-like corpus plus its filtering statistics.
-#[derive(Debug, Clone)]
-pub struct CosetCorpus {
-    /// The surviving samples.
-    pub samples: Vec<CosetSample>,
-    /// Table 1-style statistics.
-    pub stats: FilterStats,
-}
+/// The method-name corpus.
+pub type MethodCorpus = Corpus<MethodSample>;
+
+/// The COSET-like corpus.
+pub type CosetCorpus = Corpus<CosetSample>;
 
 /// Injects a defect into a source string (for the filter pipeline tests).
 fn corrupt<R: Rng + ?Sized>(src: &str, rng: &mut R) -> (String, FilterReason) {
@@ -163,7 +159,8 @@ fn corrupt<R: Rng + ?Sized>(src: &str, rng: &mut R) -> (String, FilterReason) {
     }
 }
 
-/// Runs the shared filter pipeline on one source string.
+/// Runs the filter pipeline on one source string, tracing with `rng` —
+/// the inner step of [`filter_source`], which supplies the per-program RNG.
 fn filter_one<R: Rng + ?Sized>(
     src: &str,
     config: &CorpusConfig,
@@ -209,80 +206,6 @@ fn record(stats: &mut FilterStats, reason: FilterReason) {
         FilterReason::TooSmall => stats.too_small += 1,
     }
 }
-
-/// Generates the method-name corpus.
-pub fn generate_method_corpus<R: Rng + ?Sized>(
-    config: &CorpusConfig,
-    rng: &mut R,
-) -> MethodCorpus {
-    let mut samples = Vec::new();
-    let mut stats = FilterStats::default();
-    for behavior in Behavior::ALL {
-        for _ in 0..config.variants_per_family {
-            stats.original += 1;
-            let knobs = Knobs::random(rng, config.misleading_prob);
-            let pool = behavior.name_pool();
-            let name = pool[rng.random_range(0..pool.len())];
-            let distractors = rng.random_range(0..=config.max_distractors);
-            let mut src = crate::variation::with_distractors(
-                &behavior.render_named(&knobs, name),
-                distractors,
-                rng,
-            );
-            if rng.random_bool(config.defect_prob) {
-                src = corrupt(&src, rng).0;
-            }
-            match filter_one(&src, config, rng) {
-                Ok((program, groups)) => {
-                    stats.kept += 1;
-                    samples.push(MethodSample {
-                        name: name.to_string(),
-                        behavior,
-                        program,
-                        groups,
-                    });
-                }
-                Err(reason) => record(&mut stats, reason),
-            }
-        }
-    }
-    MethodCorpus { samples, stats }
-}
-
-/// Generates the COSET-like corpus.
-pub fn generate_coset_corpus<R: Rng + ?Sized>(config: &CorpusConfig, rng: &mut R) -> CosetCorpus {
-    let mut samples = Vec::new();
-    let mut stats = FilterStats::default();
-    for strategy in Strategy::ALL {
-        for _ in 0..config.variants_per_family {
-            stats.original += 1;
-            let knobs = Knobs::random(rng, config.misleading_prob);
-            let distractors = rng.random_range(0..=config.max_distractors);
-            let mut src =
-                crate::variation::with_distractors(&strategy.render(&knobs), distractors, rng);
-            if rng.random_bool(config.defect_prob) {
-                src = corrupt(&src, rng).0;
-            }
-            match filter_one(&src, config, rng) {
-                Ok((program, groups)) => {
-                    stats.kept += 1;
-                    samples.push(CosetSample {
-                        label: strategy.label(),
-                        strategy,
-                        program,
-                        groups,
-                    });
-                }
-                Err(reason) => record(&mut stats, reason),
-            }
-        }
-    }
-    CosetCorpus { samples, stats }
-}
-
-// ---------------------------------------------------------------------------
-// Store-aware pipeline: red-green incremental corpus generation.
-// ---------------------------------------------------------------------------
 
 /// Stable wire tags for [`FilterReason`].
 const REASON_TAGS: [FilterReason; 4] = [
@@ -355,18 +278,19 @@ pub fn outcome_from_bytes(
     Ok(outcome)
 }
 
-/// [`filter_one`] with a per-program RNG and an optional artifact store.
+/// Filters and traces one source string: the verdict and, for a kept
+/// program, its parsed form and path groups.
 ///
 /// The trace RNG is derived from the source's content hash, so the
 /// verdict is a pure function of `(src, config)` — that is what makes
-/// the cached outcome replayable. With a warm store the program is
+/// the cached outcome replayable. With a warm `store` the program is
 /// neither executed nor traced; with `store == None` the verdict is
 /// identical, just recomputed.
 ///
 /// # Errors
 ///
 /// Typed [`store::StoreError`] when a cached outcome is corrupt.
-pub fn filter_one_stored(
+pub fn filter_source(
     src: &str,
     config: &CorpusConfig,
     store: Option<&store::Store>,
@@ -410,91 +334,97 @@ fn derived_trace_rng(key: u64, gen_seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(store::hash::splitmix64(key ^ gen_seed))
 }
 
-/// [`generate_method_corpus`] through the artifact store. Sources are
-/// drawn from `rng` exactly as in the plain generator; tracing uses
-/// per-program derived RNGs, so a warm store replays the identical
-/// corpus without executing a single program.
+/// The one generation loop behind both corpora. For each family it draws
+/// `variants_per_family` sources from `rng` — knobs, then `render`'s own
+/// draws, then distractors and an optional defect — and keeps each source
+/// that [`filter_source`] accepts as `sample(family, label, program,
+/// groups)`. Only sources come from `rng`; tracing uses per-program RNGs,
+/// so a warm store replays the identical corpus without executing a
+/// single program.
+fn generate<F: Copy, L, S, R: Rng + ?Sized>(
+    families: &[F],
+    config: &CorpusConfig,
+    rng: &mut R,
+    store: Option<&store::Store>,
+    render: impl Fn(F, &Knobs, &mut R) -> (String, L),
+    sample: impl Fn(F, L, Program, Vec<PathGroup>) -> S,
+) -> Result<Corpus<S>, store::StoreError> {
+    let mut corpus = Corpus { samples: Vec::new(), stats: FilterStats::default() };
+    for &family in families {
+        for _ in 0..config.variants_per_family {
+            corpus.stats.original += 1;
+            let knobs = Knobs::random(rng, config.misleading_prob);
+            let (body, label) = render(family, &knobs, rng);
+            let distractors = rng.random_range(0..=config.max_distractors);
+            let mut src = crate::variation::with_distractors(&body, distractors, rng);
+            if rng.random_bool(config.defect_prob) {
+                src = corrupt(&src, rng).0;
+            }
+            match filter_source(&src, config, store)? {
+                Ok((program, groups)) => {
+                    corpus.stats.kept += 1;
+                    corpus.samples.push(sample(family, label, program, groups));
+                }
+                Err(reason) => record(&mut corpus.stats, reason),
+            }
+        }
+    }
+    Ok(corpus)
+}
+
+/// Generates the method-name corpus, through `store` when one is given
+/// (`None` recomputes every outcome; the corpus is the same either way).
 ///
 /// # Errors
 ///
 /// Typed [`store::StoreError`] when a cached outcome is corrupt.
-pub fn generate_method_corpus_with_store<R: Rng + ?Sized>(
+pub fn generate_method_corpus<R: Rng + ?Sized>(
     config: &CorpusConfig,
     rng: &mut R,
     store: Option<&store::Store>,
 ) -> Result<MethodCorpus, store::StoreError> {
-    let mut samples = Vec::new();
-    let mut stats = FilterStats::default();
-    for behavior in Behavior::ALL {
-        for _ in 0..config.variants_per_family {
-            stats.original += 1;
-            let knobs = Knobs::random(rng, config.misleading_prob);
+    generate(
+        &Behavior::ALL,
+        config,
+        rng,
+        store,
+        |behavior, knobs, rng| {
             let pool = behavior.name_pool();
             let name = pool[rng.random_range(0..pool.len())];
-            let distractors = rng.random_range(0..=config.max_distractors);
-            let mut src = crate::variation::with_distractors(
-                &behavior.render_named(&knobs, name),
-                distractors,
-                rng,
-            );
-            if rng.random_bool(config.defect_prob) {
-                src = corrupt(&src, rng).0;
-            }
-            match filter_one_stored(&src, config, store)? {
-                Ok((program, groups)) => {
-                    stats.kept += 1;
-                    samples.push(MethodSample {
-                        name: name.to_string(),
-                        behavior,
-                        program,
-                        groups,
-                    });
-                }
-                Err(reason) => record(&mut stats, reason),
-            }
-        }
-    }
-    Ok(MethodCorpus { samples, stats })
+            (behavior.render_named(knobs, name), name)
+        },
+        |behavior, name, program, groups| MethodSample {
+            name: name.to_string(),
+            behavior,
+            program,
+            groups,
+        },
+    )
 }
 
-/// [`generate_coset_corpus`] through the artifact store; see
-/// [`generate_method_corpus_with_store`] for the replay contract.
+/// Generates the COSET-like corpus; see [`generate_method_corpus`].
 ///
 /// # Errors
 ///
 /// Typed [`store::StoreError`] when a cached outcome is corrupt.
-pub fn generate_coset_corpus_with_store<R: Rng + ?Sized>(
+pub fn generate_coset_corpus<R: Rng + ?Sized>(
     config: &CorpusConfig,
     rng: &mut R,
     store: Option<&store::Store>,
 ) -> Result<CosetCorpus, store::StoreError> {
-    let mut samples = Vec::new();
-    let mut stats = FilterStats::default();
-    for strategy in Strategy::ALL {
-        for _ in 0..config.variants_per_family {
-            stats.original += 1;
-            let knobs = Knobs::random(rng, config.misleading_prob);
-            let distractors = rng.random_range(0..=config.max_distractors);
-            let mut src =
-                crate::variation::with_distractors(&strategy.render(&knobs), distractors, rng);
-            if rng.random_bool(config.defect_prob) {
-                src = corrupt(&src, rng).0;
-            }
-            match filter_one_stored(&src, config, store)? {
-                Ok((program, groups)) => {
-                    stats.kept += 1;
-                    samples.push(CosetSample {
-                        label: strategy.label(),
-                        strategy,
-                        program,
-                        groups,
-                    });
-                }
-                Err(reason) => record(&mut stats, reason),
-            }
-        }
-    }
-    Ok(CosetCorpus { samples, stats })
+    generate(
+        &Strategy::ALL,
+        config,
+        rng,
+        store,
+        |strategy, knobs, _| (strategy.render(knobs), ()),
+        |strategy, (), program, groups| CosetSample {
+            label: strategy.label(),
+            strategy,
+            program,
+            groups,
+        },
+    )
 }
 
 /// A train/validation/test split (by index, variants disjoint).
@@ -555,7 +485,7 @@ mod tests {
     #[test]
     fn method_corpus_filters_and_keeps() {
         let mut rng = StdRng::seed_from_u64(500);
-        let corpus = generate_method_corpus(&small_config(), &mut rng);
+        let corpus = generate_method_corpus(&small_config(), &mut rng, None).unwrap();
         assert_eq!(corpus.stats.original, Behavior::ALL.len() * 2);
         assert!(corpus.stats.kept > 0);
         assert_eq!(corpus.samples.len(), corpus.stats.kept);
@@ -573,7 +503,7 @@ mod tests {
     #[test]
     fn coset_corpus_labels_are_valid() {
         let mut rng = StdRng::seed_from_u64(501);
-        let corpus = generate_coset_corpus(&small_config(), &mut rng);
+        let corpus = generate_coset_corpus(&small_config(), &mut rng, None).unwrap();
         assert!(corpus.samples.iter().all(|s| s.label < Strategy::ALL.len()));
         assert!(corpus.stats.kept > 0);
     }
@@ -640,35 +570,26 @@ mod tests {
         (dir, st)
     }
 
-    fn assert_same_method_corpus(a: &MethodCorpus, b: &MethodCorpus) {
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.samples.len(), b.samples.len());
-        for (x, y) in a.samples.iter().zip(&b.samples) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.behavior, y.behavior);
-            assert_eq!(x.program, y.program);
-            assert_eq!(x.groups, y.groups);
-        }
-    }
-
     #[test]
     fn warm_store_replays_the_identical_corpus() {
         let config = small_config();
         let (dir, st) = temp_store("warm");
+        let method = |store| {
+            generate_method_corpus(&config, &mut StdRng::seed_from_u64(500), store).unwrap()
+        };
+        let coset = |store| {
+            generate_coset_corpus(&config, &mut StdRng::seed_from_u64(501), store).unwrap()
+        };
 
-        let mut rng = StdRng::seed_from_u64(500);
-        let cold = generate_method_corpus_with_store(&config, &mut rng, Some(&st)).unwrap();
-        assert!(cold.stats.kept > 0);
+        let (cold_method, cold_coset) = (method(Some(&st)), coset(Some(&st)));
+        assert!(cold_method.stats.kept > 0 && cold_coset.stats.kept > 0);
+        assert_eq!(cold_method, method(Some(&st)));
+        assert_eq!(cold_coset, coset(Some(&st)));
 
-        let mut rng = StdRng::seed_from_u64(500);
-        let warm = generate_method_corpus_with_store(&config, &mut rng, Some(&st)).unwrap();
-        assert_same_method_corpus(&cold, &warm);
-
-        // No store at all: same corpus, recomputed (derived trace RNGs
+        // No store at all: same corpora, recomputed (derived trace RNGs
         // make the outcome a pure function of source + config).
-        let mut rng = StdRng::seed_from_u64(500);
-        let plain = generate_method_corpus_with_store(&config, &mut rng, None).unwrap();
-        assert_same_method_corpus(&cold, &plain);
+        assert_eq!(cold_method, method(None));
+        assert_eq!(cold_coset, coset(None));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -677,7 +598,7 @@ mod tests {
         let config = small_config();
         let (dir, st) = temp_store("knobs");
         let mut rng = StdRng::seed_from_u64(500);
-        let cold = generate_method_corpus_with_store(&config, &mut rng, Some(&st)).unwrap();
+        let cold = generate_method_corpus(&config, &mut rng, Some(&st)).unwrap();
 
         // Same sources, different trace budget: fingerprint changes, so
         // the cached outcomes must NOT be replayed.
@@ -685,7 +606,7 @@ mod tests {
         bigger.gen.concrete_per_path += 1;
         assert_ne!(corpus_fingerprint(&config), corpus_fingerprint(&bigger));
         let mut rng = StdRng::seed_from_u64(500);
-        let fresh = generate_method_corpus_with_store(&bigger, &mut rng, Some(&st)).unwrap();
+        let fresh = generate_method_corpus(&bigger, &mut rng, Some(&st)).unwrap();
         assert_eq!(cold.stats.original, fresh.stats.original);
         let more_traces: usize = fresh.samples.iter().flat_map(|s| &s.groups).map(|g| g.traces.len()).sum();
         let cold_traces: usize = cold.samples.iter().flat_map(|s| &s.groups).map(|g| g.traces.len()).sum();
@@ -699,8 +620,8 @@ mod tests {
         let (dir, st) = temp_store("redgreen");
         let src_a = Behavior::SumArray.render(&Knobs::plain());
         let src_b = Behavior::MaxArray.render(&Knobs::plain());
-        let a = filter_one_stored(&src_a, &config, Some(&st)).unwrap().unwrap();
-        let b = filter_one_stored(&src_b, &config, Some(&st)).unwrap().unwrap();
+        let a = filter_source(&src_a, &config, Some(&st)).unwrap().unwrap();
+        let b = filter_source(&src_b, &config, Some(&st)).unwrap().unwrap();
 
         // Edit program A: its artifact moves to a new key; B's stays put.
         let src_a2 = src_a.replace("return", "return 0 + ");
@@ -709,7 +630,7 @@ mod tests {
         let key_b = store::hash::fnv1a_str(&src_b);
         assert_ne!(key_a, key_a2);
         let fp = corpus_fingerprint(&config);
-        let _ = filter_one_stored(&src_a2, &config, Some(&st)).unwrap().unwrap();
+        let _ = filter_source(&src_a2, &config, Some(&st)).unwrap().unwrap();
         for key in [key_a, key_a2, key_b] {
             assert!(
                 st.get(store::ArtifactKind::CorpusOutcome, key, &fp).unwrap().is_some(),
@@ -717,11 +638,11 @@ mod tests {
             );
         }
         // B replays bitwise from its untouched artifact.
-        let b2 = filter_one_stored(&src_b, &config, Some(&st)).unwrap().unwrap();
+        let b2 = filter_source(&src_b, &config, Some(&st)).unwrap().unwrap();
         assert_eq!(b.0, b2.0);
         assert_eq!(b.1, b2.1);
         // A's new source replays from its own (new) artifact.
-        let a2 = filter_one_stored(&src_a2, &config, Some(&st)).unwrap().unwrap();
+        let a2 = filter_source(&src_a2, &config, Some(&st)).unwrap().unwrap();
         assert_eq!(a2.1.is_empty(), a.1.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -731,9 +652,9 @@ mod tests {
         let config = small_config();
         let (dir, st) = temp_store("reject");
         let src = "fn tiny() -> int {\nreturn 0;\n}";
-        let cold = filter_one_stored(src, &config, Some(&st)).unwrap();
+        let cold = filter_source(src, &config, Some(&st)).unwrap();
         assert_eq!(cold.unwrap_err(), FilterReason::TooSmall);
-        let warm = filter_one_stored(src, &config, Some(&st)).unwrap();
+        let warm = filter_source(src, &config, Some(&st)).unwrap();
         assert_eq!(warm.unwrap_err(), FilterReason::TooSmall);
         let key = store::hash::fnv1a_str(src);
         let payload = st

@@ -31,10 +31,9 @@ pub mod templates;
 pub mod variation;
 
 pub use corpus::{
-    corpus_fingerprint, filter_one_stored, generate_coset_corpus,
-    generate_coset_corpus_with_store, generate_method_corpus, generate_method_corpus_with_store,
-    outcome_from_bytes, outcome_to_bytes, split_indices, CorpusConfig, CosetCorpus, CosetSample,
-    FilterReason, FilterStats, MethodCorpus, MethodSample, Split, DEFAULT_GEN_SEED,
+    corpus_fingerprint, filter_source, generate_coset_corpus, generate_method_corpus,
+    outcome_from_bytes, outcome_to_bytes, split_indices, Corpus, CorpusConfig, CosetCorpus,
+    CosetSample, FilterReason, FilterStats, MethodCorpus, MethodSample, Split, DEFAULT_GEN_SEED,
 };
 pub use coset::Strategy;
 pub use templates::Behavior;

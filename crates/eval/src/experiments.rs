@@ -21,7 +21,7 @@ use crate::pipeline::{
     MethodDataset, PrepareOptions,
 };
 use baselines::{Code2Seq, Code2Vec, DyproClassifier, DyproNamer};
-use datagen::{generate_coset_corpus, generate_method_corpus, CorpusConfig, FilterStats};
+use datagen::{generate_coset_corpus, generate_method_corpus, Corpus, CorpusConfig, FilterStats};
 use liger::{
     Ablation, ClassSample, EncodeOptions, LigerClassifier, LigerConfig, LigerModel, LigerNamer,
     NameSample, TrainConfig,
@@ -191,87 +191,59 @@ impl Scale {
     }
 }
 
-/// Builds the method-name dataset for a scale (Table 1 numbers included).
-pub fn build_method_dataset(scale: &Scale) -> (MethodDataset, FilterStats) {
-    let mut rng = StdRng::seed_from_u64(scale.seed);
-    let corpus = generate_method_corpus(&scale.corpus_config(), &mut rng);
-    let stats = corpus.stats;
-    let ds = prepare_method_dataset(
-        &corpus,
-        &scale.prepare_options(),
-        scale.concrete_per_path,
-        &mut rng,
-    );
-    (ds, stats)
-}
-
-/// [`build_method_dataset`] through the artifact store: a warm store
-/// serves every program's filter verdict and traces without executing
-/// anything. Note the stored pipeline derives per-program trace RNGs,
-/// so its corpus differs from the plain builder's even cold — but is
-/// identical across cold/warm/no-store runs of *itself*.
+/// Builds the method-name dataset for a scale (Table 1 numbers included),
+/// through `store` when one is given: a warm store serves every
+/// program's filter verdict and traces without executing anything, and
+/// the dataset is bitwise the same with a cold store or none.
 ///
 /// # Errors
 ///
 /// Typed [`store::StoreError`] when a cached outcome is corrupt.
-pub fn build_method_dataset_stored(
+pub fn build_method_dataset(
     scale: &Scale,
     store: Option<&store::Store>,
 ) -> Result<(MethodDataset, FilterStats), store::StoreError> {
-    let mut rng = StdRng::seed_from_u64(scale.seed);
-    let corpus =
-        datagen::generate_method_corpus_with_store(&scale.corpus_config(), &mut rng, store)?;
-    let stats = corpus.stats;
-    let ds = prepare_method_dataset(
-        &corpus,
-        &scale.prepare_options(),
-        scale.concrete_per_path,
-        &mut rng,
-    );
-    Ok((ds, stats))
+    build_dataset(scale, scale.seed, store, generate_method_corpus, prepare_method_dataset)
 }
 
-/// Builds the COSET-like dataset for a scale.
-pub fn build_coset_dataset(scale: &Scale) -> (CosetDataset, FilterStats) {
-    let mut rng = StdRng::seed_from_u64(scale.seed.wrapping_add(1000));
-    let corpus = generate_coset_corpus(&scale.corpus_config(), &mut rng);
-    let stats = corpus.stats;
-    let ds = prepare_coset_dataset(
-        &corpus,
-        &scale.prepare_options(),
-        scale.concrete_per_path,
-        &mut rng,
-    );
-    (ds, stats)
-}
-
-/// [`build_coset_dataset`] through the artifact store; see
-/// [`build_method_dataset_stored`] for the replay contract.
+/// Builds the COSET-like dataset for a scale; see [`build_method_dataset`].
 ///
 /// # Errors
 ///
 /// Typed [`store::StoreError`] when a cached outcome is corrupt.
-pub fn build_coset_dataset_stored(
+pub fn build_coset_dataset(
     scale: &Scale,
     store: Option<&store::Store>,
 ) -> Result<(CosetDataset, FilterStats), store::StoreError> {
-    let mut rng = StdRng::seed_from_u64(scale.seed.wrapping_add(1000));
-    let corpus =
-        datagen::generate_coset_corpus_with_store(&scale.corpus_config(), &mut rng, store)?;
-    let stats = corpus.stats;
-    let ds = prepare_coset_dataset(
-        &corpus,
-        &scale.prepare_options(),
-        scale.concrete_per_path,
-        &mut rng,
-    );
-    Ok((ds, stats))
+    let seed = scale.seed.wrapping_add(1000);
+    build_dataset(scale, seed, store, generate_coset_corpus, prepare_coset_dataset)
+}
+
+/// The one dataset-builder body: generate a corpus from `seed`, then
+/// prepare it with the same RNG stream.
+fn build_dataset<S, D>(
+    scale: &Scale,
+    seed: u64,
+    store: Option<&store::Store>,
+    generate: impl FnOnce(
+        &CorpusConfig,
+        &mut StdRng,
+        Option<&store::Store>,
+    ) -> Result<Corpus<S>, store::StoreError>,
+    prepare: impl FnOnce(&Corpus<S>, &PrepareOptions, usize, &mut StdRng) -> D,
+) -> Result<(D, FilterStats), store::StoreError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let corpus = generate(&scale.corpus_config(), &mut rng, store)?;
+    let ds = prepare(&corpus, &scale.prepare_options(), scale.concrete_per_path, &mut rng);
+    Ok((ds, corpus.stats))
 }
 
 /// **Table 1** — dataset statistics before/after filtering.
 pub fn table1(scale: &Scale) -> FilterStats {
     let mut rng = StdRng::seed_from_u64(scale.seed);
-    generate_method_corpus(&scale.corpus_config(), &mut rng).stats
+    generate_method_corpus(&scale.corpus_config(), &mut rng, None)
+        .expect("no store, no store error")
+        .stats
 }
 
 /// Sub-token scores of one model on one dataset.
@@ -639,12 +611,16 @@ impl Cells {
 
     /// The method-name dataset and its Table 1 filter statistics.
     pub fn method(&self) -> &(MethodDataset, FilterStats) {
-        self.method.get_or_init(|| build_method_dataset(&self.scale))
+        self.method.get_or_init(|| {
+            build_method_dataset(&self.scale, None).expect("no store, no store error")
+        })
     }
 
     /// The COSET-like dataset and its filter statistics.
     pub fn coset(&self) -> &(CosetDataset, FilterStats) {
-        self.coset.get_or_init(|| build_coset_dataset(&self.scale))
+        self.coset.get_or_init(|| {
+            build_coset_dataset(&self.scale, None).expect("no store, no store error")
+        })
     }
 
     /// How many cells the drivers asked for, repeats included.
@@ -1020,6 +996,55 @@ mod tests {
         assert!(stats.kept > 0);
     }
 
+    fn tokens(len: usize, token: impl Fn(usize) -> String) -> Vec<String> {
+        (0..len).map(token).collect()
+    }
+
+    fn vocab_tokens(v: &liger::Vocab) -> Vec<String> {
+        tokens(v.len(), |i| v.token(i).to_string())
+    }
+
+    fn assert_same_method(a: &MethodDataset, b: &MethodDataset) {
+        let vocabs = |d: &MethodDataset| {
+            let v = &d.vocabs;
+            let inputs = [&v.input, &v.terms, &v.paths, &v.subtokens, &v.nodes, &v.name_labels];
+            (inputs.map(vocab_tokens), tokens(v.output.len(), |i| v.output.token(i).to_string()))
+        };
+        assert_eq!(vocabs(a), vocabs(b));
+        assert!(a.train == b.train && a.test == b.test, "method samples differ");
+    }
+
+    fn assert_same_coset(a: &CosetDataset, b: &CosetDataset) {
+        assert_eq!(vocab_tokens(&a.vocab), vocab_tokens(&b.vocab));
+        assert_eq!(a.num_classes, b.num_classes);
+        assert!(a.train == b.train && a.test == b.test, "COSET samples differ");
+    }
+
+    /// The datasets every paper cell trains on are the ones the artifact
+    /// store caches: a cold and a warm store-backed build equal `Cells`'
+    /// no-store build, and the warm build traces no program.
+    #[test]
+    fn cells_datasets_equal_cold_and_warm_store_builds() {
+        let scale = Scale::tiny();
+        let cells = Cells::new(scale.clone());
+        let dir = std::env::temp_dir().join(format!("lgrs-eval-cells-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let st = store::Store::open(&dir).unwrap();
+        for pass in ["cold", "warm"] {
+            let before = store::StoreStats::snapshot();
+            let (method, method_stats) = build_method_dataset(&scale, Some(&st)).unwrap();
+            let (coset, coset_stats) = build_coset_dataset(&scale, Some(&st)).unwrap();
+            let delta = store::StoreStats::snapshot().since(&before);
+            assert_eq!((method_stats, coset_stats), (cells.method().1, cells.coset().1));
+            assert_same_method(&method, &cells.method().0);
+            assert_same_coset(&coset, &cells.coset().0);
+            if pass == "warm" {
+                assert_eq!(delta.misses, 0, "warm build traced {} program(s)", delta.misses);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// Diagnostic (run with `--ignored --nocapture`): train-set fit of the
     /// dynamic models at bench scale — separates optimization failures
     /// from generalization gaps.
@@ -1027,7 +1052,7 @@ mod tests {
     #[ignore]
     fn diag_trainset_fit() {
         let scale = Scale::bench();
-        let (mut ds, _) = build_method_dataset(&scale);
+        let (mut ds, _) = build_method_dataset(&scale, None).unwrap();
         ds.test = ds.train.clone();
         let (liger, attn) = liger_method_scores(
             &ds,

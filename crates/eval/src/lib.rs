@@ -38,8 +38,7 @@ pub use baseline_train::{
     BaselineTrainConfig,
 };
 pub use experiments::{
-    build_coset_dataset, build_coset_dataset_stored, build_method_dataset,
-    build_method_dataset_stored, dypro_coset_scores, dypro_method_scores,
+    build_coset_dataset, build_method_dataset, dypro_coset_scores, dypro_method_scores,
     eval_coset_classifier, eval_method_namer, fig6_concrete, fig6_symbolic, fig7,
     liger_coset_scores, liger_method_scores, load_coset_classifier, load_method_namer,
     symbolic_concrete, symbolic_levels, table1, table2, table3, train_coset_classifier,

@@ -26,7 +26,7 @@ use randgen::reduction_order;
 use trace::BlendedTrace;
 
 /// One fully-prepared method-name sample.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PreparedMethod {
     /// Ground-truth method name.
     pub name: String,
@@ -53,7 +53,7 @@ pub struct PreparedMethod {
 }
 
 /// One fully-prepared classification sample.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PreparedCoset {
     /// The strategy class label.
     pub label: usize,
@@ -337,7 +337,7 @@ mod tests {
             },
             ..CorpusConfig::default()
         };
-        generate_method_corpus(&config, &mut rng)
+        generate_method_corpus(&config, &mut rng, None).unwrap()
     }
 
     #[test]

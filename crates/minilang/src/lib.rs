@@ -50,6 +50,6 @@ pub use node_type::{
     expr_tree, full_stmt_tree, guard_tree, program_tree, stmt_tree, AstNodeType, AstTree,
     NodeLabel,
 };
-pub use parser::{parse, parse_expr};
+pub use parser::{parse, parse_expr, MAX_DEPTH};
 pub use pretty::{print_expr, print_program, print_stmt};
 pub use typeck::typecheck;

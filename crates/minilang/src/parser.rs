@@ -18,18 +18,30 @@
 //!
 //! Expression precedence (loosest → tightest): `||`, `&&`, equality,
 //! relational, additive, multiplicative, unary, postfix indexing, primary.
+//!
+//! Nesting is bounded by [`MAX_DEPTH`], so no input can exhaust the stack
+//! of the parser or of any pass that later walks the tree.
 
 use crate::ast::*;
 use crate::error::{LangError, Result};
 use crate::lexer::lex;
 use crate::token::{Keyword, Punct, Token, TokenKind};
 
+/// The nesting budget of one parse. Blocks, `else if` arms, parentheses,
+/// brackets, call arguments and unary operators may nest at most this
+/// deep, and no expression tree may be taller — a left-associative chain
+/// `a + b + …` or `a[i][j]…` is as tall as it is long. Every pass over
+/// the AST recurses, so this bounds their stack use as well as the
+/// parser's; deeper input is a [`LangError::Parse`].
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a full program (one function) from source text, with statement
 /// ids already assigned.
 ///
 /// # Errors
 ///
-/// Returns [`LangError::Lex`] or [`LangError::Parse`] on malformed input.
+/// Returns [`LangError::Lex`] or [`LangError::Parse`] on malformed input,
+/// including input nested deeper than [`MAX_DEPTH`].
 ///
 /// # Examples
 ///
@@ -44,7 +56,7 @@ use crate::token::{Keyword, Punct, Token, TokenKind};
 /// ```
 pub fn parse(src: &str) -> Result<Program> {
     let tokens = lex(src)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser { tokens, pos: 0, depth: 0 };
     let function = parser.function()?;
     if parser.pos != parser.tokens.len() {
         return Err(parser.err("trailing tokens after function"));
@@ -61,7 +73,7 @@ pub fn parse(src: &str) -> Result<Program> {
 /// Returns a lex or parse error on malformed input.
 pub fn parse_expr(src: &str) -> Result<Expr> {
     let tokens = lex(src)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser { tokens, pos: 0, depth: 0 };
     let expr = parser.expr()?;
     if parser.pos != parser.tokens.len() {
         return Err(parser.err("trailing tokens after expression"));
@@ -72,7 +84,28 @@ pub fn parse_expr(src: &str) -> Result<Expr> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting depth, at most [`MAX_DEPTH`].
+    depth: usize,
 }
+
+/// An expression and the height of its tree (a leaf is 1 tall).
+type Tall = (Expr, usize);
+
+/// The binary operators by precedence level, loosest first; each level
+/// is left-associative.
+const BINARY_LEVELS: [&[(Punct, BinOp)]; 6] = [
+    &[(Punct::OrOr, BinOp::Or)],
+    &[(Punct::AndAnd, BinOp::And)],
+    &[(Punct::EqEq, BinOp::Eq), (Punct::Ne, BinOp::Ne)],
+    &[
+        (Punct::Le, BinOp::Le),
+        (Punct::Lt, BinOp::Lt),
+        (Punct::Ge, BinOp::Ge),
+        (Punct::Gt, BinOp::Gt),
+    ],
+    &[(Punct::Plus, BinOp::Add), (Punct::Minus, BinOp::Sub)],
+    &[(Punct::Star, BinOp::Mul), (Punct::Slash, BinOp::Div), (Punct::Percent, BinOp::Mod)],
+];
 
 impl Parser {
     fn err(&self, msg: impl Into<String>) -> LangError {
@@ -81,6 +114,29 @@ impl Parser {
             .get(self.pos.min(self.tokens.len().saturating_sub(1)))
             .map_or(0, |t| t.line);
         LangError::Parse { line, msg: msg.into() }
+    }
+
+    fn too_deep(&self) -> LangError {
+        self.err(format!("nesting deeper than {MAX_DEPTH} levels"))
+    }
+
+    /// Runs `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// The height of a node whose tallest child is `child` tall.
+    fn grown(&self, child: usize) -> Result<usize> {
+        if child >= MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(child + 1)
     }
 
     fn peek(&self) -> Option<&TokenKind> {
@@ -178,11 +234,13 @@ impl Parser {
 
     fn block(&mut self) -> Result<Block> {
         self.expect_punct(Punct::LBrace)?;
-        let mut stmts = Vec::new();
-        while !self.eat_punct(Punct::RBrace) {
-            stmts.push(self.stmt()?);
-        }
-        Ok(Block { stmts })
+        self.nested(|p| {
+            let mut stmts = Vec::new();
+            while !p.eat_punct(Punct::RBrace) {
+                stmts.push(p.stmt()?);
+            }
+            Ok(Block { stmts })
+        })
     }
 
     fn stmt(&mut self) -> Result<Stmt> {
@@ -266,7 +324,7 @@ impl Parser {
             if self.peek() == Some(&TokenKind::Keyword(Keyword::If)) {
                 // `else if`: wrap the nested if in a one-statement block.
                 let line = self.line();
-                let nested = self.if_stmt()?;
+                let nested = self.nested(Self::if_stmt)?;
                 Some(Block { stmts: vec![self.stmt_at(line, nested)] })
             } else {
                 Some(self.block()?)
@@ -308,175 +366,105 @@ impl Parser {
     }
 
     pub(crate) fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        Ok(self.tall_expr()?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.and_expr()?;
-        while self.eat_punct(Punct::OrOr) {
-            let rhs = self.and_expr()?;
-            lhs = Expr::binary(BinOp::Or, lhs, rhs);
-        }
-        Ok(lhs)
+    fn tall_expr(&mut self) -> Result<Tall> {
+        self.nested(|p| p.binary_expr(0))
     }
 
-    fn and_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.equality_expr()?;
-        while self.eat_punct(Punct::AndAnd) {
-            let rhs = self.equality_expr()?;
-            lhs = Expr::binary(BinOp::And, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn equality_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.relational_expr()?;
-        loop {
-            let op = if self.eat_punct(Punct::EqEq) {
-                BinOp::Eq
-            } else if self.eat_punct(Punct::Ne) {
-                BinOp::Ne
-            } else {
-                break;
-            };
-            let rhs = self.relational_expr()?;
+    /// One precedence level of [`BINARY_LEVELS`]; past the last, a unary
+    /// expression.
+    fn binary_expr(&mut self, level: usize) -> Result<Tall> {
+        let Some(ops) = BINARY_LEVELS.get(level) else { return self.unary_expr() };
+        let (mut lhs, mut height) = self.binary_expr(level + 1)?;
+        while let Some(&(_, op)) = ops.iter().find(|&&(punct, _)| self.eat_punct(punct)) {
+            let (rhs, rhs_height) = self.binary_expr(level + 1)?;
+            height = self.grown(height.max(rhs_height))?;
             lhs = Expr::binary(op, lhs, rhs);
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn relational_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.additive_expr()?;
-        loop {
-            let op = if self.eat_punct(Punct::Le) {
-                BinOp::Le
-            } else if self.eat_punct(Punct::Lt) {
-                BinOp::Lt
-            } else if self.eat_punct(Punct::Ge) {
-                BinOp::Ge
-            } else if self.eat_punct(Punct::Gt) {
-                BinOp::Gt
-            } else {
-                break;
-            };
-            let rhs = self.additive_expr()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn additive_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.multiplicative_expr()?;
-        loop {
-            let op = if self.eat_punct(Punct::Plus) {
-                BinOp::Add
-            } else if self.eat_punct(Punct::Minus) {
-                BinOp::Sub
-            } else {
-                break;
-            };
-            let rhs = self.multiplicative_expr()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn multiplicative_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = if self.eat_punct(Punct::Star) {
-                BinOp::Mul
-            } else if self.eat_punct(Punct::Slash) {
-                BinOp::Div
-            } else if self.eat_punct(Punct::Percent) {
-                BinOp::Mod
-            } else {
-                break;
-            };
-            let rhs = self.unary_expr()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr> {
-        if self.eat_punct(Punct::Minus) {
-            let inner = self.unary_expr()?;
-            // Fold negation of integer literals so `-1` parses as the
-            // literal `-1`; this makes pretty-printing round-trip exactly.
-            if let ExprKind::IntLit(v) = inner.kind {
-                return Ok(Expr::int(v.wrapping_neg()));
-            }
-            Ok(Expr::new(ExprKind::Unary(UnOp::Neg, Box::new(inner))))
+    fn unary_expr(&mut self) -> Result<Tall> {
+        let op = if self.eat_punct(Punct::Minus) {
+            UnOp::Neg
         } else if self.eat_punct(Punct::Bang) {
-            let inner = self.unary_expr()?;
-            Ok(Expr::new(ExprKind::Unary(UnOp::Not, Box::new(inner))))
+            UnOp::Not
         } else {
-            self.postfix_expr()
+            return self.postfix_expr();
+        };
+        let (inner, height) = self.nested(Self::unary_expr)?;
+        // Fold negation of integer literals so `-1` parses as the
+        // literal `-1`; this makes pretty-printing round-trip exactly.
+        if let (UnOp::Neg, ExprKind::IntLit(v)) = (op, &inner.kind) {
+            return Ok((Expr::int(v.wrapping_neg()), height));
         }
+        Ok((Expr::new(ExprKind::Unary(op, Box::new(inner))), self.grown(height)?))
     }
 
-    fn postfix_expr(&mut self) -> Result<Expr> {
-        let mut e = self.primary_expr()?;
+    fn postfix_expr(&mut self) -> Result<Tall> {
+        let (mut e, mut height) = self.primary_expr()?;
         while self.eat_punct(Punct::LBracket) {
-            let idx = self.expr()?;
+            let (idx, idx_height) = self.tall_expr()?;
             self.expect_punct(Punct::RBracket)?;
+            height = self.grown(height.max(idx_height))?;
             e = Expr::new(ExprKind::Index(Box::new(e), Box::new(idx)));
         }
-        Ok(e)
+        Ok((e, height))
     }
 
-    fn primary_expr(&mut self) -> Result<Expr> {
+    /// A comma-separated expression list up to `close`, and the height of
+    /// its tallest element (0 when empty).
+    fn tall_list(&mut self, close: Punct) -> Result<(Vec<Expr>, usize)> {
+        let (mut items, mut height) = (Vec::new(), 0);
+        if !self.eat_punct(close) {
+            loop {
+                let (item, item_height) = self.tall_expr()?;
+                items.push(item);
+                height = height.max(item_height);
+                if self.eat_punct(close) {
+                    break;
+                }
+                self.expect_punct(Punct::Comma)?;
+            }
+        }
+        Ok((items, height))
+    }
+
+    fn primary_expr(&mut self) -> Result<Tall> {
+        let leaf = |kind| Ok((Expr::new(kind), 1));
         match self.bump()? {
-            TokenKind::Int(v) => Ok(Expr::int(v)),
-            TokenKind::Str(s) => Ok(Expr::new(ExprKind::StrLit(s))),
-            TokenKind::Keyword(Keyword::True) => Ok(Expr::new(ExprKind::BoolLit(true))),
-            TokenKind::Keyword(Keyword::False) => Ok(Expr::new(ExprKind::BoolLit(false))),
+            TokenKind::Int(v) => Ok((Expr::int(v), 1)),
+            TokenKind::Str(s) => leaf(ExprKind::StrLit(s)),
+            TokenKind::Keyword(Keyword::True) => leaf(ExprKind::BoolLit(true)),
+            TokenKind::Keyword(Keyword::False) => leaf(ExprKind::BoolLit(false)),
             TokenKind::Punct(Punct::LParen) => {
-                let e = self.expr()?;
+                let tall = self.tall_expr()?;
                 self.expect_punct(Punct::RParen)?;
-                Ok(e)
+                Ok(tall)
             }
             TokenKind::Punct(Punct::LBracket) => {
-                let mut elems = Vec::new();
-                if !self.eat_punct(Punct::RBracket) {
-                    loop {
-                        elems.push(self.expr()?);
-                        if self.eat_punct(Punct::RBracket) {
-                            break;
-                        }
-                        self.expect_punct(Punct::Comma)?;
-                    }
-                }
-                Ok(Expr::new(ExprKind::ArrayLit(elems)))
+                let (elems, height) = self.tall_list(Punct::RBracket)?;
+                Ok((Expr::new(ExprKind::ArrayLit(elems)), self.grown(height)?))
             }
             TokenKind::Ident(name) => {
-                if self.peek() == Some(&TokenKind::Punct(Punct::LParen)) {
-                    let builtin = Builtin::from_name(&name)
-                        .ok_or_else(|| self.err(format!("unknown function: {name}")))?;
-                    self.bump()?; // `(`
-                    let mut args = Vec::new();
-                    if !self.eat_punct(Punct::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if self.eat_punct(Punct::RParen) {
-                                break;
-                            }
-                            self.expect_punct(Punct::Comma)?;
-                        }
-                    }
-                    if args.len() != builtin.arity() {
-                        return Err(self.err(format!(
-                            "{} expects {} arguments, got {}",
-                            builtin.name(),
-                            builtin.arity(),
-                            args.len()
-                        )));
-                    }
-                    Ok(Expr::new(ExprKind::Call(builtin, args)))
-                } else {
-                    Ok(Expr::var(name))
+                if self.peek() != Some(&TokenKind::Punct(Punct::LParen)) {
+                    return Ok((Expr::var(name), 1));
                 }
+                let builtin = Builtin::from_name(&name)
+                    .ok_or_else(|| self.err(format!("unknown function: {name}")))?;
+                self.bump()?; // `(`
+                let (args, height) = self.tall_list(Punct::RParen)?;
+                if args.len() != builtin.arity() {
+                    return Err(self.err(format!(
+                        "{} expects {} arguments, got {}",
+                        builtin.name(),
+                        builtin.arity(),
+                        args.len()
+                    )));
+                }
+                Ok((Expr::new(ExprKind::Call(builtin, args)), self.grown(height)?))
             }
             other => Err(self.err(format!("expected expression, found {other}"))),
         }
@@ -584,6 +572,70 @@ mod tests {
         "#;
         let prog = parse(src).unwrap();
         assert_eq!(prog.function.name, "isRotation");
+    }
+
+    /// Runs `f` on a thread with a 2 MiB stack, the std default that the
+    /// server's threads get, so an overflow aborts the test run instead
+    /// of hiding in a larger test-harness stack.
+    fn on_server_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let thread = std::thread::Builder::new().stack_size(2 << 20).spawn(f).unwrap();
+        thread.join().unwrap()
+    }
+
+    fn returning(expr: &str) -> String {
+        format!("fn f(x: int) -> int {{ return {expr}; }}")
+    }
+
+    /// The four shapes of deep input, `n` levels each: nested
+    /// parentheses, a flat left-associative `+` chain, a chain of unary
+    /// `-`, and nested `if` blocks.
+    fn deep_inputs(n: usize) -> [String; 4] {
+        [
+            returning(&format!("{}x{}", "(".repeat(n), ")".repeat(n))),
+            returning(&vec!["x"; n].join(" + ")),
+            returning(&format!("{}x", "- ".repeat(n))),
+            format!(
+                "fn f(x: int) -> int {{ {} x += 1; {} return x; }}",
+                "if (x > 0) { ".repeat(n),
+                "}".repeat(n)
+            ),
+        ]
+    }
+
+    fn assert_too_deep(src: &str) {
+        match parse(src) {
+            Err(LangError::Parse { msg, .. }) => assert!(msg.contains("nesting deeper than")),
+            other => panic!("expected a nesting error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_typed_error() {
+        on_server_stack(|| {
+            let [parens, chain, unary, _] = deep_inputs(100_000);
+            let [.., ifs] = deep_inputs(10_000);
+            for src in [parens, chain, unary, ifs] {
+                assert_too_deep(&src);
+            }
+        });
+    }
+
+    #[test]
+    fn the_budget_admits_its_own_depth_and_not_one_more() {
+        on_server_stack(|| {
+            // A chain of k operands is exactly k tall.
+            let at_budget = parse(&returning(&vec!["x"; MAX_DEPTH].join(" + "))).unwrap();
+            crate::typecheck(&at_budget).unwrap();
+            // The function body and the `return` expression take two
+            // levels, so every shape fits at `MAX_DEPTH - 2` levels…
+            for src in deep_inputs(MAX_DEPTH - 2) {
+                crate::typecheck(&parse(&src).unwrap()).unwrap();
+            }
+            // …and none a level past the budget.
+            for src in deep_inputs(MAX_DEPTH + 1) {
+                assert_too_deep(&src);
+            }
+        });
     }
 
     #[test]

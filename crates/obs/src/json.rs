@@ -200,14 +200,23 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so this bounds its stack on any input. It is about twice what
+/// the wire form of the deepest program MiniLang's nesting budget admits
+/// needs: a statement tree at most `minilang::MAX_DEPTH + 2` tall takes
+/// two arrays per level, under five levels of request, program, traces,
+/// trace and step.
+pub const MAX_DEPTH: usize = 512;
+
 /// Parses one JSON value; the whole input must be consumed (modulo
 /// whitespace).
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first syntax error.
+/// Returns a human-readable description of the first syntax error, or
+/// of nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -220,6 +229,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`, at most [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -244,8 +255,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -254,6 +265,16 @@ impl Parser<'_> {
             Some(c) => Err(format!("unexpected {:?} at offset {}", c as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels at offset {}", self.pos));
+        }
+        self.depth += 1;
+        let value = f(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -424,5 +445,30 @@ mod tests {
     fn parses_whitespace_and_escapes() {
         let v = parse(" { \"a\" : [ 1 , \"\\u0041\\n\" ] } ").unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[1].as_str().unwrap(), "A\n");
+    }
+
+    #[test]
+    fn nesting_past_the_budget_is_an_error_not_an_overflow() {
+        let nested = |open: &str, close: &str, n: usize| {
+            format!("{}0{}", open.repeat(n), close.repeat(n))
+        };
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nested("{\"k\":", "}", MAX_DEPTH)).is_ok());
+        // On a 2 MiB stack, the std default the server's threads get.
+        let thread = std::thread::Builder::new().stack_size(2 << 20);
+        let errors = thread
+            .spawn(move || {
+                [
+                    parse(&nested("[", "]", MAX_DEPTH + 1)),
+                    parse(&"[".repeat(400_000)),
+                    parse(&nested("{\"k\":", "}", 100_000)),
+                ]
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        for error in errors {
+            assert!(error.unwrap_err().contains("nesting deeper than"));
+        }
     }
 }

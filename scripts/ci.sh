@@ -6,7 +6,8 @@
 #     unit tests;
 #   - determinism, memoization and batch-major kernel proptests under a
 #     forced 2-worker pool;
-#   - liger-lint over the rendered datagen corpus, plain and --canon;
+#   - liger-lint over the rendered datagen corpus, plain and --canon, and
+#     over a source nested past MiniLang's budget (must exit 2);
 #   - liger-serve smoke test, semantic code-search smoke across a
 #     restart, and canonicalizer clone-detection smoke;
 #   - profiled-quickstart trace validation and the --quantize gate;
@@ -44,6 +45,24 @@ echo "liger-lint: shipped datagen corpus is diagnostic-free"
 # every canonical form must itself be diagnostic-free.
 target/release/liger-lint --canon --deny-warnings --quiet "$lint_dir"/*.ml | grep -c '^canon ' \
     | xargs -I{} echo "liger-lint --canon: {} canonical forms, idempotent and diagnostic-free"
+# A source nested far past MiniLang's nesting budget must be a parse error
+# (exit 2), never a stack overflow (a signal, exit >= 128).
+deep_ml="$lint_dir/deep.ml"
+{
+    printf 'fn f(x: int) -> int { return '
+    head -c 100000 /dev/zero | tr '\0' '('
+    printf 'x'
+    head -c 100000 /dev/zero | tr '\0' ')'
+    printf '; }\n'
+} > "$deep_ml"
+deep_status=0
+target/release/liger-lint "$deep_ml" 2> "$lint_dir/deep.err" || deep_status=$?
+if [ "$deep_status" -ne 2 ] || ! grep -q 'parse error' "$lint_dir/deep.err"; then
+    echo "liger-lint on 100000 nested parentheses: exit $deep_status, want 2 with a parse error" >&2
+    cat "$lint_dir/deep.err" >&2
+    exit 1
+fi
+echo "liger-lint: 100000 nested parentheses are a parse error (exit 2)"
 rm -rf "$lint_dir"
 trap - EXIT
 

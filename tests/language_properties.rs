@@ -108,3 +108,23 @@ fn blended_view_of_the_motivating_pair() {
         );
     }
 }
+
+/// MiniLang's nesting budget admits the whole template catalogue — all
+/// 53 behaviours and strategies, plain and with distractors prepended.
+#[test]
+fn every_template_parses_inside_the_nesting_budget() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(53);
+    let knobs = Knobs::plain();
+    let sources: Vec<String> = Behavior::ALL
+        .iter()
+        .map(|b| b.render(&knobs))
+        .chain(Strategy::ALL.iter().map(|s| s.render(&knobs)))
+        .collect();
+    assert_eq!(sources.len(), 53);
+    for src in &sources {
+        let distracted = datagen::with_distractors(src, 2, &mut rng);
+        for src in [src, &distracted] {
+            minilang::parse(src).unwrap_or_else(|e| panic!("{e}:\n{src}"));
+        }
+    }
+}

@@ -11,8 +11,8 @@
 //!   checkpoint's fingerprint reads as a miss, never a wrong hit.
 
 use datagen::{
-    corpus_fingerprint, filter_one_stored, generate_method_corpus_with_store, CorpusConfig,
-    MethodCorpus,
+    corpus_fingerprint, filter_source, generate_coset_corpus, generate_method_corpus,
+    CorpusConfig,
 };
 use liger::{
     encode_program, program_into_vocab, EncodeOptions, LigerConfig, LigerNamer, ModelBundle,
@@ -52,24 +52,14 @@ fn small_config(paths: usize, per_path: usize) -> CorpusConfig {
     }
 }
 
-fn assert_bitwise_same(a: &MethodCorpus, b: &MethodCorpus) {
-    assert_eq!(a.stats, b.stats);
-    assert_eq!(a.samples.len(), b.samples.len());
-    for (x, y) in a.samples.iter().zip(&b.samples) {
-        assert_eq!(x.name, y.name);
-        assert_eq!(x.behavior, y.behavior);
-        assert_eq!(x.program, y.program);
-        assert_eq!(x.groups, y.groups, "traces must replay bitwise for {}", x.name);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
 
     /// The tentpole acceptance gate: for random seeds and generation
     /// knobs, a warm re-run over a *reopened* store replays the
-    /// bitwise-identical corpus with zero misses — no program is
-    /// re-traced or re-executed.
+    /// bitwise-identical method and COSET corpora with zero misses — no
+    /// program is re-traced or re-executed — and a run with no store at
+    /// all recomputes the same corpora.
     #[test]
     fn warm_rerun_is_bitwise_identical_with_zero_misses(
         seed in 0u64..=1000,
@@ -78,24 +68,34 @@ proptest! {
     ) {
         let _guard = counter_lock();
         let config = small_config(paths, per_path);
-        let dir = temp_dir("warm");
-        let cold = {
-            let st = store::Store::open(&dir).unwrap();
-            let mut rng = StdRng::seed_from_u64(seed);
-            generate_method_corpus_with_store(&config, &mut rng, Some(&st)).unwrap()
+        let method = |st: Option<&store::Store>| {
+            generate_method_corpus(&config, &mut StdRng::seed_from_u64(seed), st).unwrap()
         };
-        prop_assert!(cold.stats.kept > 0);
+        let coset = |st: Option<&store::Store>| {
+            generate_coset_corpus(&config, &mut StdRng::seed_from_u64(seed), st).unwrap()
+        };
+        let dir = temp_dir("warm");
+        let (cold_method, cold_coset) = {
+            let st = store::Store::open(&dir).unwrap();
+            (method(Some(&st)), coset(Some(&st)))
+        };
+        prop_assert!(cold_method.stats.kept > 0);
+        prop_assert!(cold_coset.stats.kept > 0);
 
         // "Restart": a fresh handle over the same directory, as a new
         // process would open it.
         let st = store::Store::open(&dir).unwrap();
         let before = store::StoreStats::snapshot();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let warm = generate_method_corpus_with_store(&config, &mut rng, Some(&st)).unwrap();
+        let (warm_method, warm_coset) = (method(Some(&st)), coset(Some(&st)));
         let delta = store::StoreStats::snapshot().since(&before);
-        assert_bitwise_same(&cold, &warm);
+        prop_assert_eq!(&cold_method, &warm_method);
+        prop_assert_eq!(&cold_coset, &warm_coset);
         prop_assert_eq!(delta.misses, 0, "warm rerun re-traced {} program(s)", delta.misses);
-        prop_assert!(delta.hits as usize >= cold.stats.original);
+        let programs = cold_method.stats.original + cold_coset.stats.original;
+        prop_assert!(delta.hits as usize >= programs);
+
+        prop_assert_eq!(&cold_method, &method(None));
+        prop_assert_eq!(&cold_coset, &coset(None));
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -116,7 +116,7 @@ fn editing_one_program_costs_exactly_one_miss() {
         .map(|b| b.render(&datagen::Knobs::plain()))
         .collect();
     for src in &sources {
-        filter_one_stored(src, &config, Some(&st)).unwrap().unwrap();
+        filter_source(src, &config, Some(&st)).unwrap().unwrap();
     }
 
     // Second pass with one source edited (an extra harmless statement).
@@ -124,7 +124,7 @@ fn editing_one_program_costs_exactly_one_miss() {
     edited[2] = edited[2].replacen('{', "{\nlet extraTmp: int = 0;\nextraTmp += 1;\n", 1);
     let before = store::StoreStats::snapshot();
     for src in &edited {
-        filter_one_stored(src, &config, Some(&st)).unwrap().unwrap();
+        filter_source(src, &config, Some(&st)).unwrap().unwrap();
     }
     let delta = store::StoreStats::snapshot().since(&before);
     assert_eq!(delta.misses, 1, "exactly the edited program must miss: {delta}");
