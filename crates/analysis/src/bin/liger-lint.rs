@@ -78,8 +78,9 @@ fn lint_source(
     opts: &Options,
     store: Option<&store::Store>,
 ) -> Result<(usize, bool), String> {
-    let mut program = minilang::parse(src).map_err(|e| format!("{label}: parse error: {e}"))?;
-    minilang::typecheck(&program).map_err(|e| format!("{label}: type error: {e}"))?;
+    // `LangError` already names its phase ("parse error at line N: …").
+    let mut program = minilang::parse(src).map_err(|e| format!("{label}: {e}"))?;
+    minilang::typecheck(&program).map_err(|e| format!("{label}: {e}"))?;
     if opts.canon {
         let once = analysis::canonicalize(&program);
         let twice = analysis::canonicalize(&once.program);
@@ -181,5 +182,33 @@ fn main() -> ExitCode {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lint_error(src: &str) -> String {
+        let opts = Options {
+            deny_warnings: false,
+            fatal_only: false,
+            canon: false,
+            quiet: true,
+            metrics: false,
+            store_path: None,
+            files: Vec::new(),
+        };
+        lint_source("in.ml", src, &opts, None).unwrap_err()
+    }
+
+    #[test]
+    fn frontend_errors_name_their_phase_once() {
+        let parse = lint_error("fn f( {");
+        assert!(parse.starts_with("in.ml: parse error at line 1"), "{parse}");
+        assert_eq!(parse.matches("parse error").count(), 1, "{parse}");
+        let ty = lint_error("fn f(x: int) -> int { return true; }");
+        assert!(ty.starts_with("in.ml: type error: "), "{ty}");
+        assert_eq!(ty.matches("type error").count(), 1, "{ty}");
     }
 }

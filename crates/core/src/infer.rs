@@ -104,16 +104,22 @@ pub fn extract_encoded(
 /// same way [`extract_encoded`] will. Used to bootstrap a model for a
 /// known corpus (e.g. the `liger-serve --demo` trainer).
 ///
+/// The sources are traced on the [`par`] pool and folded into the
+/// vocabulary in source order, so the result is the same at every
+/// thread count.
+///
 /// # Errors
 ///
-/// Returns [`ExtractError`] for the first source that cannot be traced.
-pub fn vocab_from_sources<S: AsRef<str>>(
+/// Returns [`ExtractError`] for the first source (in order) that cannot
+/// be traced.
+pub fn vocab_from_sources<S: AsRef<str> + Sync>(
     sources: &[S],
     opts: &ExtractOptions,
 ) -> Result<Vocab, ExtractError> {
+    let traced = par::par_map_ordered(sources, |_, source| blended_traces(source.as_ref(), opts));
     let mut vocab = Vocab::new();
-    for source in sources {
-        let (program, blended) = blended_traces(source.as_ref(), opts)?;
+    for result in traced {
+        let (program, blended) = result?;
         crate::encode::program_into_vocab(&program, &blended, &mut vocab, &opts.encode);
     }
     Ok(vocab)
@@ -345,6 +351,37 @@ mod tests {
                 states: vec![EncState { vars: vec![EncVar::Primitive(token + 1)] }],
             }],
         }])
+    }
+
+    fn tokens(v: &Vocab) -> Vec<String> {
+        (0..v.len()).map(|i| v.token(i).to_string()).collect()
+    }
+
+    #[test]
+    fn vocab_tracing_is_the_serial_fold_at_every_thread_count() {
+        let opts = ExtractOptions::default();
+        let sources = [
+            "fn addOne(x: int) -> int { return x + 1; }",
+            "fn signOf(x: int) -> int { if (x > 0) { return 1; } if (x < 0) { return 0 - 1; } return 0; }",
+            "fn sumTo(n: int) -> int { let s: int = 0; for (let i: int = 1; i <= n; i += 1) { s += i; } return s; }",
+            "fn first(a: array<int>) -> int { if (len(a) == 0) { return 0; } return a[0]; }",
+            "fn greet(s: str) -> str { return \"hi \" + s; }",
+        ];
+        let mut serial = Vocab::new();
+        for src in &sources {
+            let (program, blended) = blended_traces(src, &opts).unwrap();
+            crate::encode::program_into_vocab(&program, &blended, &mut serial, &opts.encode);
+        }
+        // The first failing source in order wins, whichever worker ran it.
+        let crash = "fn f(x: int) -> int { return 1 / (x - x); }";
+        let failing = [sources[0], crash, "fn broken(", sources[1]];
+        for threads in [1, 2] {
+            par::set_threads(Some(threads));
+            let got = vocab_from_sources(&sources, &opts).unwrap();
+            assert_eq!(tokens(&got), tokens(&serial), "{threads} threads");
+            assert_eq!(vocab_from_sources(&failing, &opts).unwrap_err(), ExtractError::NoTraces);
+            par::set_threads(None);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `computeFileDiff` has full recall but low precision. Scores are
 //! micro-averaged over the dataset, as in code2seq's evaluation.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Micro-averaged sub-token precision / recall / F1.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -109,10 +109,12 @@ impl Accuracy {
 }
 
 /// Macro-averaged F1 over classes for classification (COSET's Table 3
-/// reports both accuracy and an F1 score).
+/// reports both accuracy and an F1 score). Classes are kept in ascending
+/// order, so the macro average sums them in a fixed order and is
+/// bitwise reproducible.
 #[derive(Debug, Clone, Default)]
 pub struct ClassF1 {
-    per_class: HashMap<usize, PrecisionRecallF1>,
+    per_class: BTreeMap<usize, PrecisionRecallF1>,
 }
 
 impl ClassF1 {
@@ -231,5 +233,25 @@ mod tests {
         c.add(0, 1);
         c.add(1, 0);
         assert_eq!(c.macro_f1(), 0.0);
+    }
+
+    #[test]
+    fn class_f1_sums_classes_in_ascending_order() {
+        let mut c = ClassF1::default();
+        let mut rng = 0x5eed_u64;
+        for _ in 0..500 {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let truth = (rng >> 33) as usize % 13;
+            let predicted = if (rng >> 20) & 3 == 0 { (rng >> 40) as usize % 13 } else { truth };
+            c.add(predicted, truth);
+        }
+        let mut ascending = 0.0;
+        for class in 0..13 {
+            if let Some(p) = c.per_class.get(&class) {
+                ascending += p.f1() / 100.0;
+            }
+        }
+        let expected = ascending / c.per_class.len() as f64;
+        assert_eq!(c.macro_f1().to_bits(), expected.to_bits());
     }
 }

@@ -5,14 +5,26 @@
 //! (statement events + program states) together with statement and line
 //! coverage. Execution is bounded by *fuel* so the dataset filter of
 //! Table 1 can discard programs that "take too long".
+//!
+//! An [`Interpreter`] prepares a program once (its [`VarLayout`]) and runs
+//! it in one of two recording modes over the same evaluator:
+//! [`Interpreter::run`] records every event with its state snapshot, and
+//! [`Interpreter::run_path`] records only the path steps. Both spend fuel
+//! and fail identically, so a path-only run predicts exactly whether a
+//! full run succeeds and which path it takes.
+//!
+//! Variables live in one slot per layout entry, so a state snapshot is a
+//! clone of the slot vector. Declaring a variable logs the value its slot
+//! held; leaving a block replays that log, which restores shadowed names
+//! and returns the block's own names to ⊥.
 
 use crate::error::RuntimeError;
-use crate::trace_event::{EventKind, TraceEvent};
+use crate::trace_event::{EventKind, PathStep, TraceEvent};
 use crate::value::{State, Value, VarLayout};
 use minilang::{
     AssignOp, BinOp, Block, Builtin, Expr, ExprKind, LValue, Program, Stmt, StmtKind, UnOp,
 };
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Default fuel (maximum number of statement events) for a single run.
 pub const DEFAULT_FUEL: u64 = 100_000;
@@ -66,52 +78,131 @@ pub fn run_with_fuel(
     inputs: &[Value],
     fuel: u64,
 ) -> Result<RunResult, RuntimeError> {
-    let _span = obs::span!("interp.run");
-    obs::counter!("interp.runs").inc();
-    let f = &program.function;
-    if inputs.len() != f.params.len() {
-        return Err(RuntimeError::ArityMismatch {
-            expected: f.params.len(),
-            actual: inputs.len(),
-        });
+    Interpreter::new(program).run(inputs, fuel)
+}
+
+/// A program prepared for repeated execution: the variable layout is
+/// computed once and shared by every run.
+///
+/// # Examples
+///
+/// ```
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// use interp::{Interpreter, Value};
+/// let program = minilang::parse(
+///     "fn sign(x: int) -> int { if (x > 0) { return 1; } return 0; }",
+/// )?;
+/// let interp = Interpreter::new(&program);
+/// let mut path = Vec::new();
+/// interp.run_path(&[Value::Int(3)], 100, &mut path)?;
+/// let full = interp.run(&[Value::Int(3)], 100)?;
+/// assert!(full.events.iter().map(|e| e.path_step()).eq(path));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct Interpreter<'p> {
+    program: &'p Program,
+    layout: VarLayout,
+}
+
+impl<'p> Interpreter<'p> {
+    /// Prepares `program` for execution.
+    pub fn new(program: &'p Program) -> Interpreter<'p> {
+        Interpreter { program, layout: VarLayout::of(program) }
     }
-    for (p, v) in f.params.iter().zip(inputs) {
-        if v.ty() != p.ty {
-            return Err(RuntimeError::InputTypeMismatch {
-                param: p.name.clone(),
-                expected: p.ty,
-                actual: v.ty(),
+
+    /// Executes the program on `inputs`, recording every event with the
+    /// state after it, plus statement and line coverage.
+    ///
+    /// # Errors
+    ///
+    /// See [`run_with_fuel`].
+    pub fn run(&self, inputs: &[Value], fuel: u64) -> Result<RunResult, RuntimeError> {
+        let _span = obs::span!("interp.run");
+        obs::counter!("interp.runs").inc();
+        let mut interp = self.start(inputs, fuel, Recording::Full(Vec::new()))?;
+        let initial_state = State { values: interp.slots.clone() };
+        let return_value = self.finish(&mut interp)?;
+        let Recording::Full(events) = interp.recording else {
+            unreachable!("a full run records events")
+        };
+        Ok(RunResult {
+            initial_state,
+            stmt_coverage: events.iter().map(|e| e.stmt).collect(),
+            line_coverage: events.iter().map(|e| e.line).collect(),
+            events,
+            return_value,
+        })
+    }
+
+    /// Executes the program on `inputs`, recording only its path: `path`
+    /// is cleared, then receives the [`PathStep`] of every event a full
+    /// [`Interpreter::run`] would record. Takes no state snapshots and
+    /// keeps no coverage; fuel, errors and the return-type check are the
+    /// full run's, so this succeeds exactly when `run` does.
+    ///
+    /// # Errors
+    ///
+    /// See [`run_with_fuel`]. On error `path` holds the steps recorded so
+    /// far.
+    pub fn run_path(
+        &self,
+        inputs: &[Value],
+        fuel: u64,
+        path: &mut Vec<PathStep>,
+    ) -> Result<(), RuntimeError> {
+        path.clear();
+        let mut interp = self.start(inputs, fuel, Recording::Path(path))?;
+        self.finish(&mut interp).map(drop)
+    }
+
+    /// Checks `inputs` against the parameter list and binds them.
+    fn start<'r>(
+        &'r self,
+        inputs: &[Value],
+        fuel: u64,
+        recording: Recording<'r>,
+    ) -> Result<Interp<'r>, RuntimeError> {
+        let params = &self.program.function.params;
+        if inputs.len() != params.len() {
+            return Err(RuntimeError::ArityMismatch {
+                expected: params.len(),
+                actual: inputs.len(),
             });
         }
+        for (p, v) in params.iter().zip(inputs) {
+            if v.ty() != p.ty {
+                return Err(RuntimeError::InputTypeMismatch {
+                    param: p.name.clone(),
+                    expected: p.ty,
+                    actual: v.ty(),
+                });
+            }
+        }
+        let mut slots = vec![None; self.layout.len()];
+        for (p, v) in params.iter().zip(inputs) {
+            let slot = self.layout.slot(&p.name).expect("parameters lead the layout");
+            slots[slot] = Some(v.clone());
+        }
+        Ok(Interp { layout: &self.layout, slots, undo: Vec::new(), fuel, recording })
     }
-    let layout = VarLayout::of(program);
-    let mut interp = Interp {
-        layout: &layout,
-        scopes: vec![HashMap::new()],
-        events: Vec::new(),
-        fuel,
-        stmt_coverage: BTreeSet::new(),
-        line_coverage: BTreeSet::new(),
-    };
-    for (p, v) in f.params.iter().zip(inputs) {
-        interp.scopes[0].insert(p.name.clone(), v.clone());
+
+    /// Runs the body and checks the returned value's type.
+    fn finish(&self, interp: &mut Interp<'_>) -> Result<Value, RuntimeError> {
+        let f = &self.program.function;
+        let return_value = match interp.exec_block(&f.body)? {
+            Flow::Return(v) => v,
+            _ => return Err(RuntimeError::MissingReturn),
+        };
+        if return_value.ty() != f.ret {
+            return Err(RuntimeError::ReturnTypeMismatch {
+                expected: f.ret,
+                actual: return_value.ty(),
+            });
+        }
+        Ok(return_value)
     }
-    let initial_state = interp.snapshot();
-    let flow = interp.exec_block(&f.body)?;
-    let return_value = match flow {
-        Flow::Return(v) => v,
-        _ => return Err(RuntimeError::MissingReturn),
-    };
-    if return_value.ty() != f.ret {
-        return Err(RuntimeError::ReturnTypeMismatch { expected: f.ret, actual: return_value.ty() });
-    }
-    Ok(RunResult {
-        initial_state,
-        events: interp.events,
-        return_value,
-        stmt_coverage: interp.stmt_coverage,
-        line_coverage: interp.line_coverage,
-    })
 }
 
 enum Flow {
@@ -121,62 +212,75 @@ enum Flow {
     Return(Value),
 }
 
-struct Interp<'a> {
-    layout: &'a VarLayout,
-    scopes: Vec<HashMap<String, Value>>,
-    events: Vec<TraceEvent>,
-    fuel: u64,
-    stmt_coverage: BTreeSet<minilang::StmtId>,
-    line_coverage: BTreeSet<u32>,
+/// What a run records per event.
+enum Recording<'r> {
+    /// Every event with the state after it.
+    Full(Vec<TraceEvent>),
+    /// The path steps only, into the caller's buffer.
+    Path(&'r mut Vec<PathStep>),
 }
 
-impl<'a> Interp<'a> {
-    fn snapshot(&self) -> State {
-        let mut values = vec![None; self.layout.len()];
-        // Innermost scope wins for shadowed names: iterate outer→inner.
-        for scope in &self.scopes {
-            for (name, value) in scope {
-                if let Some(slot) = self.layout.slot(name) {
-                    values[slot] = Some(value.clone());
-                }
-            }
-        }
-        State { values }
-    }
+struct Interp<'r> {
+    layout: &'r VarLayout,
+    /// The value of every layout slot (`None` = ⊥).
+    slots: Vec<Option<Value>>,
+    /// `(slot, value before the declaration)` per executed `let`, in
+    /// order; a block unwinds its suffix on exit.
+    undo: Vec<(usize, Option<Value>)>,
+    fuel: u64,
+    recording: Recording<'r>,
+}
 
+impl Interp<'_> {
     fn record(&mut self, stmt: &Stmt, kind: EventKind) -> Result<(), RuntimeError> {
         if self.fuel == 0 {
             return Err(RuntimeError::OutOfFuel);
         }
         self.fuel -= 1;
-        self.stmt_coverage.insert(stmt.id);
-        self.line_coverage.insert(stmt.line);
-        let state = self.snapshot();
-        self.events.push(TraceEvent { stmt: stmt.id, line: stmt.line, kind, state });
+        match &mut self.recording {
+            Recording::Full(events) => {
+                let state = State { values: self.slots.clone() };
+                events.push(TraceEvent { stmt: stmt.id, line: stmt.line, kind, state });
+            }
+            Recording::Path(path) => path.push(PathStep { stmt: stmt.id, kind }),
+        }
         Ok(())
     }
 
-    fn lookup(&self, name: &str) -> Result<&Value, RuntimeError> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(v) = scope.get(name) {
-                return Ok(v);
-            }
+    /// The bound slot of `name`: its value is the innermost visible
+    /// declaration.
+    fn bound(&self, name: &str) -> Result<usize, RuntimeError> {
+        match self.layout.slot(name) {
+            Some(slot) if self.slots[slot].is_some() => Ok(slot),
+            _ => Err(RuntimeError::UndefinedVariable(name.to_string())),
         }
-        Err(RuntimeError::UndefinedVariable(name.to_string()))
     }
 
-    fn assign_var(&mut self, name: &str, value: Value) -> Result<(), RuntimeError> {
-        for scope in self.scopes.iter_mut().rev() {
-            if let Some(slot) = scope.get_mut(name) {
-                *slot = value;
-                return Ok(());
-            }
+    fn lookup(&self, name: &str) -> Result<&Value, RuntimeError> {
+        let slot = self.bound(name)?;
+        Ok(self.slots[slot].as_ref().expect("bound slots hold a value"))
+    }
+
+    fn lookup_mut(&mut self, name: &str) -> Result<&mut Value, RuntimeError> {
+        let slot = self.bound(name)?;
+        Ok(self.slots[slot].as_mut().expect("bound slots hold a value"))
+    }
+
+    fn declare(&mut self, name: &str, value: Value) {
+        let slot = self.layout.slot(name).expect("every let-declared name has a slot");
+        let shadowed = self.slots[slot].replace(value);
+        self.undo.push((slot, shadowed));
+    }
+
+    /// Undoes every declaration made since the undo log had length `mark`.
+    fn leave(&mut self, mark: usize) {
+        for (slot, shadowed) in self.undo.drain(mark..).rev() {
+            self.slots[slot] = shadowed;
         }
-        Err(RuntimeError::UndefinedVariable(name.to_string()))
     }
 
     fn exec_block(&mut self, block: &Block) -> Result<Flow, RuntimeError> {
-        self.scopes.push(HashMap::new());
+        let mark = self.undo.len();
         let mut flow = Flow::Normal;
         for stmt in &block.stmts {
             flow = self.exec_stmt(stmt)?;
@@ -184,7 +288,7 @@ impl<'a> Interp<'a> {
                 break;
             }
         }
-        self.scopes.pop();
+        self.leave(mark);
         Ok(flow)
     }
 
@@ -192,10 +296,7 @@ impl<'a> Interp<'a> {
         match &stmt.kind {
             StmtKind::Let { name, init, .. } => {
                 let value = self.eval(init)?;
-                self.scopes
-                    .last_mut()
-                    .expect("scope stack never empty")
-                    .insert(name.clone(), value);
+                self.declare(name, value);
                 self.record(stmt, EventKind::Exec)?;
                 Ok(Flow::Normal)
             }
@@ -203,16 +304,15 @@ impl<'a> Interp<'a> {
                 let rhs = self.eval(value)?;
                 match target {
                     LValue::Var(name) => {
-                        let new = match op {
+                        let slot = self.lookup_mut(name)?;
+                        *slot = match op {
                             AssignOp::Set => rhs,
-                            _ => apply_compound(*op, self.lookup(name)?.clone(), rhs)?,
+                            _ => apply_compound(*op, slot.clone(), rhs)?,
                         };
-                        self.assign_var(name, new)?;
                     }
                     LValue::Index(name, idx_expr) => {
                         let idx = self.eval_int(idx_expr)?;
-                        let current = self.lookup(name)?.clone();
-                        let Value::Array(mut arr) = current else {
+                        let Value::Array(arr) = self.lookup_mut(name)? else {
                             return Err(RuntimeError::TypeMismatch {
                                 msg: format!("indexed assignment into non-array {name}"),
                             });
@@ -228,7 +328,6 @@ impl<'a> Interp<'a> {
                             });
                         };
                         arr[i] = elem;
-                        self.assign_var(name, Value::Array(arr))?;
                     }
                 }
                 self.record(stmt, EventKind::Exec)?;
@@ -259,7 +358,7 @@ impl<'a> Interp<'a> {
             },
             StmtKind::For { init, cond, update, body } => {
                 // The header's scope holds the induction variable.
-                self.scopes.push(HashMap::new());
+                let mark = self.undo.len();
                 let result = (|| {
                     self.exec_stmt(init)?;
                     loop {
@@ -276,7 +375,7 @@ impl<'a> Interp<'a> {
                         self.exec_stmt(update)?;
                     }
                 })();
-                self.scopes.pop();
+                self.leave(mark);
                 result
             }
             StmtKind::Return(expr) => {
@@ -351,23 +450,22 @@ impl<'a> Interp<'a> {
                 eval_binop(*op, l, r)
             }
             ExprKind::Index(base, idx) => {
+                if let ExprKind::Var(name) = &base.kind {
+                    // Index the variable in place instead of cloning it;
+                    // the index expression cannot rebind it.
+                    self.lookup(name)?;
+                    let i = self.eval_int(idx)?;
+                    return index_value(self.lookup(name)?, i);
+                }
                 let b = self.eval(base)?;
                 let i = self.eval_int(idx)?;
-                match b {
-                    Value::Array(arr) => {
-                        let i = check_index(i, arr.len())?;
-                        Ok(Value::Int(arr[i]))
-                    }
-                    Value::Str(s) => {
-                        let bytes = s.as_bytes();
-                        let i = check_index(i, bytes.len())?;
-                        Ok(Value::Int(i64::from(bytes[i])))
-                    }
-                    other => Err(RuntimeError::TypeMismatch {
-                        msg: format!("indexing into {}", other.ty()),
-                    }),
-                }
+                index_value(&b, i)
             }
+            ExprKind::Call(Builtin::Len, args) if args.len() == 1 => match &args[0].kind {
+                // Measure a variable in place instead of cloning it.
+                ExprKind::Var(name) => len_of(self.lookup(name)?),
+                _ => len_of(&self.eval(&args[0])?),
+            },
             ExprKind::Call(builtin, args) => {
                 let values: Vec<Value> =
                     args.iter().map(|a| self.eval(a)).collect::<Result<_, _>>()?;
@@ -381,6 +479,29 @@ impl<'a> Interp<'a> {
                 Ok(Value::Array(out))
             }
         }
+    }
+}
+
+fn index_value(base: &Value, i: i64) -> Result<Value, RuntimeError> {
+    match base {
+        Value::Array(arr) => {
+            let i = check_index(i, arr.len())?;
+            Ok(Value::Int(arr[i]))
+        }
+        Value::Str(s) => {
+            let bytes = s.as_bytes();
+            let i = check_index(i, bytes.len())?;
+            Ok(Value::Int(i64::from(bytes[i])))
+        }
+        other => Err(RuntimeError::TypeMismatch { msg: format!("indexing into {}", other.ty()) }),
+    }
+}
+
+fn len_of(v: &Value) -> Result<Value, RuntimeError> {
+    match v {
+        Value::Array(a) => Ok(Value::Int(a.len() as i64)),
+        Value::Str(s) => Ok(Value::Int(s.len() as i64)),
+        _ => Err(RuntimeError::TypeMismatch { msg: "len on non-collection".to_string() }),
     }
 }
 
@@ -458,11 +579,7 @@ fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, RuntimeError> {
 fn eval_builtin(builtin: Builtin, mut args: Vec<Value>) -> Result<Value, RuntimeError> {
     let type_err = |msg: &str| RuntimeError::TypeMismatch { msg: msg.to_string() };
     match builtin {
-        Builtin::Len => match &args[0] {
-            Value::Array(a) => Ok(Value::Int(a.len() as i64)),
-            Value::Str(s) => Ok(Value::Int(s.len() as i64)),
-            _ => Err(type_err("len on non-collection")),
-        },
+        Builtin::Len => len_of(&args[0]),
         Builtin::Substring => {
             let (s, i, j) = match (&args[0], &args[1], &args[2]) {
                 (Value::Str(s), Value::Int(i), Value::Int(j)) => (s.clone(), *i, *j),
@@ -709,5 +826,63 @@ mod tests {
         .unwrap();
         assert_eq!(r.initial_state.values[0], Some(Value::Int(7)));
         assert_eq!(r.initial_state.values[1], None);
+    }
+
+    /// Runs `inputs` in both recording modes and asserts they agree on the
+    /// outcome and the path; returns the full run.
+    fn both_modes(src: &str, inputs: &[Value], fuel: u64) -> Result<RunResult, RuntimeError> {
+        let p = minilang::parse(src).unwrap();
+        let interp = Interpreter::new(&p);
+        let mut path = Vec::new();
+        let path_only = interp.run_path(inputs, fuel, &mut path);
+        let full = interp.run(inputs, fuel);
+        match (&path_only, &full) {
+            (Ok(()), Ok(run)) => {
+                assert!(run.events.iter().map(TraceEvent::path_step).eq(path.iter().copied()));
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b),
+            _ => panic!("modes disagree: {path_only:?} vs {full:?}"),
+        }
+        full
+    }
+
+    #[test]
+    fn path_only_mode_matches_full_runs_on_errors() {
+        let div = "fn f(x: int) -> int { let y: int = 3; return y / x; }";
+        assert_eq!(both_modes(div, &[Value::Int(0)], 100).unwrap_err(), RuntimeError::DivisionByZero);
+        assert!(both_modes(div, &[Value::Int(2)], 100).is_ok());
+        let looping = "fn f(n: int) -> int { let s: int = 0; while (s < n) { s += 1; } return s; }";
+        assert_eq!(both_modes(looping, &[Value::Int(50)], 20).unwrap_err(), RuntimeError::OutOfFuel);
+        // Exactly enough fuel: 1 let + 4 guards + 3 bodies + 1 return.
+        assert_eq!(both_modes(looping, &[Value::Int(3)], 9).unwrap().return_value, Value::Int(3));
+        assert_eq!(both_modes(looping, &[Value::Int(3)], 8).unwrap_err(), RuntimeError::OutOfFuel);
+        let wrong_ret = "fn f(x: int) -> int { return x > 0; }";
+        assert!(matches!(
+            both_modes(wrong_ret, &[Value::Int(1)], 100).unwrap_err(),
+            RuntimeError::ReturnTypeMismatch { .. }
+        ));
+        assert!(matches!(
+            both_modes(div, &[Value::Bool(true)], 100).unwrap_err(),
+            RuntimeError::InputTypeMismatch { .. }
+        ));
+    }
+
+    #[test]
+    fn shadowed_slots_are_restored_on_block_exit() {
+        let src = "fn f(x: int) -> int {
+            let y: int = 1;
+            if (x > 0) { let y: int = 10; x += y; }
+            for (let i: int = 0; i < 2; i += 1) { let y: int = i; x += y; let y: int = 7; }
+            return x + y;
+        }";
+        let r = both_modes(src, &[Value::Int(3)], 100).unwrap();
+        assert_eq!(r.return_value, Value::Int(3 + 10 + 1 + 1));
+        // Slots: x, y, i. Inside the if, y is the inner 10; after it, the
+        // outer 1 is back. After the loop, i is ⊥ again.
+        let states: Vec<_> = r.events.iter().map(|e| e.state.values.clone()).collect();
+        assert_eq!(states[2][1], Some(Value::Int(10)));
+        assert_eq!(states[4][1], Some(Value::Int(1)), "after the if: {:?}", states[4]);
+        let last = r.events.last().unwrap();
+        assert_eq!(last.state.values, vec![Some(Value::Int(14)), Some(Value::Int(1)), None]);
     }
 }

@@ -5,6 +5,16 @@
 //! (Definition 2.1 of the paper) — the statement-event sequence, the
 //! program state after every statement, and statement/line coverage.
 //!
+//! An [`Interpreter`] computes a program's [`VarLayout`] once and keeps
+//! variables in one slot per layout entry, so each state snapshot is a
+//! vector clone. It runs in two recording modes over one evaluator:
+//! [`Interpreter::run`] records the full trace, and
+//! [`Interpreter::run_path`] records only the [`PathStep`]s. Both spend
+//! the same fuel and fail the same way, so a path-only run tells a
+//! caller exactly whether a traced run would succeed and which path it
+//! would take, at a fraction of the cost. Input generators use it to
+//! discard executions before paying for their states.
+//!
 //! # Examples
 //!
 //! ```
@@ -35,6 +45,6 @@ pub mod trace_event;
 pub mod value;
 
 pub use error::RuntimeError;
-pub use interpreter::{run, run_with_fuel, RunResult, DEFAULT_FUEL};
+pub use interpreter::{run, run_with_fuel, Interpreter, RunResult, DEFAULT_FUEL};
 pub use trace_event::{EventKind, PathStep, TraceEvent};
 pub use value::{State, Value, VarLayout};

@@ -6,13 +6,23 @@
 //! still has fewer than the per-path quota of concrete traces. Generation
 //! stops once the path and concrete-trace targets are met (≈20 symbolic
 //! traces × 5 concrete executions in §6.1) or the attempt budget runs out.
+//!
+//! Generation is path-first. Most attempts are dropped (on the benchmark
+//! fixture about 2% are kept), and the keep decision needs only the
+//! outcome and the path, so every attempt runs in the interpreter's
+//! path-only mode ([`Interpreter::run_path`]: no state snapshots, no
+//! coverage). Only a kept input is run again with full tracing. The
+//! interpreter is deterministic and the two modes share fuel, errors and
+//! path steps, so the traced re-run succeeds on the same path (asserted);
+//! the RNG draws, keep decisions, [`GenStats`] and groups are exactly
+//! those of tracing every attempt.
 
 use crate::inputs::{check_inputs, random_inputs, InputConfig};
-use interp::run_with_fuel;
+use interp::{Interpreter, PathStep, TraceEvent};
 use minilang::Program;
 use rand::Rng;
 use std::collections::HashMap;
-use trace::{group_by_path, ExecutionTrace, PathGroup, SymbolicTrace};
+use trace::{group_by_path, ExecutionTrace, PathGroup};
 
 /// Configuration of the feedback-directed generator.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,8 +94,10 @@ pub fn generate_grouped<R: Rng + ?Sized>(
         obs::counter!("randgen.screened").inc();
         return (Vec::new(), stats);
     }
+    let interp = Interpreter::new(program);
+    let mut path: Vec<PathStep> = Vec::new();
     let mut kept: Vec<ExecutionTrace> = Vec::new();
-    let mut per_path: HashMap<SymbolicTrace, usize> = HashMap::new();
+    let mut per_path: HashMap<Vec<PathStep>, usize> = HashMap::new();
 
     while stats.attempts < config.max_attempts {
         stats.attempts += 1;
@@ -96,24 +108,27 @@ pub fn generate_grouped<R: Rng + ?Sized>(
             stats.failures += 1;
             continue;
         }
-        let run = match run_with_fuel(program, &inputs, config.fuel) {
-            Ok(r) => r,
-            Err(_) => {
-                stats.failures += 1;
-                continue;
-            }
-        };
-        let trace = ExecutionTrace::from_run(inputs, run);
-        let key = trace.symbolic();
-        let count = per_path.get(&key).copied().unwrap_or(0);
+        // Decide on the path alone; only kept inputs pay for states.
+        if interp.run_path(&inputs, config.fuel, &mut path).is_err() {
+            stats.failures += 1;
+            continue;
+        }
+        let count = per_path.get(path.as_slice()).copied().unwrap_or(0);
         if count == 0 && per_path.len() >= config.target_paths {
             continue; // Path quota full; drop this discovery.
         }
         if count >= config.concrete_per_path {
             continue; // Path already has its concrete quota.
         }
-        per_path.insert(key, count + 1);
-        kept.push(trace);
+        per_path.insert(path.clone(), count + 1);
+        let run = interp
+            .run(&inputs, config.fuel)
+            .expect("a traced run succeeds where its path-only run did");
+        assert!(
+            run.events.iter().map(TraceEvent::path_step).eq(path.iter().copied()),
+            "a traced run follows its path-only run's path"
+        );
+        kept.push(ExecutionTrace::from_run(inputs, run));
         stats.kept += 1;
 
         let full_paths =

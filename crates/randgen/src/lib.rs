@@ -7,7 +7,8 @@
 //!   branch-relevant small values,
 //! - [`generate_grouped`] runs the feedback-directed loop — keep an
 //!   execution when it discovers a new path or its path still needs
-//!   concrete traces — and returns executions grouped by path, and
+//!   concrete traces — and returns executions grouped by path. Attempts
+//!   run path-only; only kept inputs are traced in full, and
 //! - [`min_line_cover`] / [`reduction_order`] implement the
 //!   line-coverage-preserving symbolic-trace reduction of §6.1.2.
 //!

@@ -911,12 +911,13 @@ impl EventLoop {
 /// typechecking are CPU-bound, so lint jobs run on the shard workers
 /// (routed by [`source_hash`]) rather than the event-loop thread.
 fn lint_source(src: &str) -> Json {
+    // `LangError` already names its phase ("parse error at line N: …").
     let program = match minilang::parse(src) {
         Ok(p) => p,
-        Err(e) => return error_response(format!("parse error: {e}")),
+        Err(e) => return error_response(e.to_string()),
     };
     if let Err(e) = minilang::typecheck(&program) {
-        return error_response(format!("type error: {e}"));
+        return error_response(e.to_string());
     }
     lint_response(&analysis::lint::run(&program))
 }

@@ -259,7 +259,9 @@ fn lint_op_is_served_with_structured_diagnostics() {
     // Malformed sources get a clean protocol error, not a crash.
     let reply = client.call(&lint_request("fn f( {")).unwrap();
     assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
-    assert!(reply.get("error").and_then(Json::as_str).unwrap().contains("parse error"));
+    let error = reply.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("parse error"));
+    assert_eq!(error.matches("parse error").count(), 1, "{error}");
 
     handle.shutdown();
     handle.join();
