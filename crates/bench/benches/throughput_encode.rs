@@ -1,7 +1,7 @@
 //! Encoder throughput and allocation pressure, cold vs. steady-state.
 //!
 //! Measures the LIGER encoder forward pass over the tiny method-name
-//! dataset four ways:
+//! dataset three ways:
 //!
 //! * **cold** — a fresh `Graph` per program, uncached `encode` (the
 //!   pre-arena behaviour: every tensor is a fresh heap allocation);
@@ -9,17 +9,14 @@
 //!   between programs, memoized `encode_memo` (arena reuse + buffer
 //!   pooling + span-replay: steady-state allocations come only from
 //!   tape/bookkeeping growth, not tensor storage);
-//! * **steady** — the batch-major tape-free path: `FloatEngine::
-//!   encode_batch` over the whole dataset, so the f₃ flow recurrence runs
+//! * **steady** — the batch-major tape-free path: `Engine::encode_batch`
+//!   over the whole dataset, so the f₃ flow recurrence runs
 //!   one fused `gemm_batch` panel per weight matrix per lockstep across
 //!   every live trace, statement/state embeddings memoize *across*
 //!   programs (merged pool), and no autodiff tape is recorded at all.
 //!   Asserted bitwise-identical to the cold path, and asserted at least
 //!   [`ENGINE_OVER_TAPE_FLOOR`]× the memoized tape (`per_program`)
-//!   measured in the same run;
-//! * **int8** — the same batch-major pass through `QuantEngine` over
-//!   per-row-absmax int8 weights quantized from the same parameters,
-//!   reported separately since its accuracy contract is looser.
+//!   measured in the same run.
 //!
 //! A counting `#[global_allocator]` tallies every heap allocation made
 //! inside each timed region, giving honest allocations-per-program
@@ -31,10 +28,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use bench::{Json, Report};
-use liger::{EncodedProgram, FloatEngine, LigerConfig, LigerModel, QuantEngine, Workspace};
+use liger::{EncodedProgram, Engine, LigerConfig, LigerModel, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tensor::{Graph, ParamStore, QuantStore};
+use tensor::{Graph, ParamStore};
 
 /// The tape-free engine's steady state must run at least this many times
 /// the memoized tape encoder's rate, both timed in the same interleaved
@@ -130,8 +127,8 @@ fn main() {
     let mut report = Report::new(
         "throughput_encode",
         "LIGER encoder forward over the tiny method-name dataset: cold tape (fresh graph, \
-         uncached), memoized tape (reused workspace), and the batch-major tape-free engine \
-         in f32 and int8, measured in interleaved rounds",
+         uncached), memoized tape (reused workspace), and the batch-major tape-free engine, \
+         measured in interleaved rounds",
         bench::Args::parse(),
     );
     let ds = bench::tiny_dataset();
@@ -166,7 +163,7 @@ fn main() {
     // memoized across programs. Warm once with a bitwise check against
     // the cold tape reference (the engine's exactness contract).
     let prog_refs: Vec<&EncodedProgram> = progs.iter().collect();
-    let mut engine = FloatEngine::new(&store);
+    let mut engine = Engine::new(&store);
     for (prog, out) in progs.iter().zip(engine.encode_batch(&model, &prog_refs)) {
         let mut g = Graph::new();
         let cold_out = model.encode(&mut g, &store, prog);
@@ -177,14 +174,8 @@ fn main() {
         );
     }
 
-    // int8: the same parameters quantized to per-row-absmax int8, the
-    // same batch-major pass (warmed once like the f32 engine).
-    let qs = QuantStore::quantize(&store);
-    let mut qe = QuantEngine::new(&qs);
-    qe.encode_batch(&model, &prog_refs);
-
     let rounds = 10;
-    let modes = ["cold", "per_program", "steady", "int8"];
+    let modes = ["cold", "per_program", "steady"];
     let measured = measure(
         n,
         rounds,
@@ -215,10 +206,6 @@ fn main() {
                 let outs = engine.encode_batch(&model, &prog_refs);
                 outs.iter().map(|o| bits(&o.program)).fold(0, u64::wrapping_add)
             },
-            &mut || {
-                let outs = qe.encode_batch(&model, &prog_refs);
-                outs.iter().map(|o| bits(&o.program)).fold(0, u64::wrapping_add)
-            },
         ],
     );
     for (mode, m) in modes.iter().zip(&measured) {
@@ -234,7 +221,7 @@ fn main() {
             ],
         );
     }
-    let [cold, per_program, steady, int8] = measured;
+    let [cold, per_program, steady] = measured;
 
     // Allocation-pressure gate: cold vs. the persistent-workspace tape path
     // (what arena reuse + buffer pooling eliminate). The fused gate/attention
@@ -249,7 +236,6 @@ fn main() {
     report.summary("steady_over_per_program", Json::Num(engine_over_tape));
     report.summary("steady_over_per_program_floor", Json::Num(ENGINE_OVER_TAPE_FLOOR));
     report.summary("steady_over_cold", Json::Num(cold.secs / steady.secs));
-    report.summary("int8_over_steady", Json::Num(steady.secs / int8.secs));
     report.summary("memo_replays", Json::Num(ws.replays() as f64));
     assert!(
         reduction >= 3.0,

@@ -4,8 +4,8 @@
 //! panels and the vocab-projection shape), one `gemm` row each in
 //! GFLOP/s. An in-bench floor asserts the tiled loops actually
 //! autovectorized: a regression to scalar codegen lands well under the
-//! floor and fails CI. End-to-end f32 and int8 encoder throughput is
-//! measured by `throughput_encode`. The report lands in
+//! floor and fails CI. End-to-end encoder throughput is measured by
+//! `throughput_encode`. The report lands in
 //! `BENCH_kernels.json` (`--json PATH`).
 
 use std::time::Instant;

@@ -14,16 +14,13 @@
 //! <token>            × n   (percent-escaped, id order)
 //! head namer <m>     — or —  head classifier <k>
 //! <token>            × m    (<label> × k)
-//! params <nbytes>             — or —  qparams <nbytes>
-//! <binary LGR1 parameter blob>        (<binary LGRq quantized blob>)
+//! params <nbytes>
+//! <binary LGR1 parameter blob>
 //! ```
 //!
-//! The `qparams` variant ([`ModelBundle::to_quantized_bytes`], written by
-//! `--quantize` flows) stores matrices as int8 codes with per-row absmax
-//! scales and vectors as f16 (`tensor::save_store_quantized`), ~4× smaller
-//! than `params`. Loading it fills [`ModelBundle::qstore`] for the
-//! dequantize-free [`crate::QuantEngine`] path and reconstructs a
-//! dequantized f32 [`ParamStore`] so every existing consumer still works.
+//! The payload is always f32 `params`: a bundle whose payload line is
+//! anything else (such as the retired int8 `qparams`) is refused with
+//! [`BundleError::Parse`].
 //!
 //! The header is line-oriented text (greppable, versioned by the `LGRB1`
 //! magic); the parameter payload embeds the binary checkpoint format
@@ -50,10 +47,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
 use tensor::codec::{write_atomic, ByteReader, ByteWriter, DecodeError};
-use tensor::{
-    load_store_binary, load_store_quantized, save_store_binary, save_store_quantized,
-    ParamStore, QuantStore,
-};
+use tensor::{load_store_binary, save_store_binary, ParamStore};
 
 /// The bundle magic / format-version line.
 const BUNDLE_MAGIC: &str = "LGRB1";
@@ -77,14 +71,8 @@ pub struct ModelBundle {
     pub vocab: Vocab,
     /// The task head.
     pub head: BundleHead,
-    /// Trained parameter values (registration order). For a quantized
-    /// bundle this is the *dequantized* reconstruction, so f32-only
-    /// consumers keep working.
+    /// Trained parameter values (registration order).
     pub store: ParamStore,
-    /// The int8/f16 parameters when this bundle was saved or loaded in
-    /// quantized form — the dequantize-free inference path
-    /// ([`crate::QuantEngine`]) runs on these.
-    pub qstore: Option<QuantStore>,
 }
 
 /// Errors from bundle parsing or instantiation.
@@ -190,7 +178,7 @@ impl ModelBundle {
         out: OutVocab,
         store: ParamStore,
     ) -> ModelBundle {
-        ModelBundle { cfg, vocab, head: BundleHead::Namer(out), store, qstore: None }
+        ModelBundle { cfg, vocab, head: BundleHead::Namer(out), store }
     }
 
     /// Packs a trained classifier checkpoint.
@@ -200,29 +188,30 @@ impl ModelBundle {
         labels: Vec<String>,
         store: ParamStore,
     ) -> ModelBundle {
-        ModelBundle { cfg, vocab, head: BundleHead::Classifier(labels), store, qstore: None }
+        ModelBundle { cfg, vocab, head: BundleHead::Classifier(labels), store }
     }
 
     /// A compact fingerprint of this model: head kind, embedding
-    /// width, vocabulary size, numeric path, and an FNV-1a digest of
+    /// width, vocabulary size, weight form (always `f32`, a segment
+    /// existing index and store files carry), and an FNV-1a digest of
     /// the trained parameter bytes. Two bundles that could produce
     /// different embeddings get different fingerprints, so both the
     /// embedding index (`LGRI1`) and the artifact store (`LGRS1`)
     /// refuse or miss stale entries instead of serving wrong vectors.
-    /// The serve router's `model_fingerprint` delegates here.
     pub fn fingerprint(&self) -> String {
         let head = match &self.head {
             BundleHead::Namer(_) => "namer",
             BundleHead::Classifier(_) => "classifier",
         };
-        let numeric = if self.qstore.is_some() { "int8" } else { "f32" };
         let h = store::hash::param_store_digest(&self.store);
-        format!("{head}/h{}/v{}/{numeric}/{h:016x}", self.cfg.hidden, self.vocab.len())
+        format!("{head}/h{}/v{}/f32/{h:016x}", self.cfg.hidden, self.vocab.len())
     }
 
-    /// Serializes the header (magic, cfg, vocabularies), then the
-    /// parameter blob under its `tag` line.
-    fn with_params(&self, tag: &str, params: &[u8]) -> Vec<u8> {
+    /// Serializes the bundle to its on-disk byte form: the header (magic,
+    /// cfg, vocabularies), then the f32 parameter blob under its `params`
+    /// line.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let params = save_store_binary(&self.store);
         let mut w = ByteWriter::with_capacity(params.len() + 16 * self.vocab.len() + 64);
         w.line(BUNDLE_MAGIC);
         w.line(&format!(
@@ -247,27 +236,9 @@ impl ModelBundle {
                 w.line(&escape(token));
             }
         }
-        w.line(&format!("{tag} {}", params.len()));
-        w.raw(params);
+        w.line(&format!("params {}", params.len()));
+        w.raw(&params);
         w.into_bytes()
-    }
-
-    /// Serializes the bundle to its on-disk byte form (f32 `params`
-    /// payload).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.with_params("params", &save_store_binary(&self.store))
-    }
-
-    /// Serializes the bundle with an int8/f16 `qparams` payload
-    /// (quantize-at-save): matrices as per-row-absmax int8 codes, vectors
-    /// as f16. ~4× smaller on disk; loads back into
-    /// [`ModelBundle::qstore`] for dequantize-free inference.
-    pub fn to_quantized_bytes(&self) -> Vec<u8> {
-        let params = match &self.qstore {
-            Some(qs) => save_store_quantized(qs),
-            None => save_store_quantized(&QuantStore::quantize(&self.store)),
-        };
-        self.with_params("qparams", &params)
     }
 
     /// Parses a bundle from its on-disk byte form.
@@ -307,21 +278,15 @@ impl ModelBundle {
             (_, labels) => BundleHead::Classifier(labels),
         };
 
-        let (quantized, nbytes) = read_title(&mut r, &["params", "qparams"])?;
+        let (_, nbytes) = read_title(&mut r, &["params"])?;
         if r.remaining() != nbytes {
             return Err(BundleError::Parse(format!(
                 "params blob is {} bytes, header declares {nbytes}",
                 r.remaining()
             )));
         }
-        let blob = r.take(nbytes)?;
-        let (store, qstore) = if quantized == 1 {
-            let qs = load_store_quantized(blob)?;
-            (qs.dequantize(), Some(qs))
-        } else {
-            (load_store_binary(blob)?, None)
-        };
-        Ok(ModelBundle { cfg, vocab, head, store, qstore })
+        let store = load_store_binary(r.take(nbytes)?)?;
+        Ok(ModelBundle { cfg, vocab, head, store })
     }
 
     /// Writes the bundle to `path`, atomically: a crash mid-save leaves
@@ -332,16 +297,6 @@ impl ModelBundle {
     /// Returns the underlying filesystem error.
     pub fn save_to_path(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
         write_atomic(path.as_ref(), &self.to_bytes())
-    }
-
-    /// Writes the bundle to `path` with the int8/f16 `qparams` payload,
-    /// atomically.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying filesystem error.
-    pub fn save_quantized_to_path(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        write_atomic(path.as_ref(), &self.to_quantized_bytes())
     }
 
     /// Reads a bundle from `path`.
@@ -526,44 +481,6 @@ mod tests {
         wrong.cfg.hidden = 7;
         let reparsed = ModelBundle::from_bytes(&wrong.to_bytes()).unwrap();
         assert!(matches!(reparsed.instantiate().unwrap_err(), BundleError::Mismatch(_)));
-    }
-
-    #[test]
-    fn quantized_bundle_roundtrips_and_matches_direct_quantization() {
-        let (bundle, _) = trained_namer_bundle();
-        let qbytes = bundle.to_quantized_bytes();
-        // The parameter payload shrinks several-fold (int8 codes vs the
-        // widened-f64 records; record framing keeps this tiny test model
-        // under the asymptotic ~8×).
-        let qblob = tensor::save_store_quantized(&tensor::QuantStore::quantize(&bundle.store));
-        let fblob = tensor::save_store_binary(&bundle.store);
-        assert!(qblob.len() * 3 < fblob.len(), "{} vs {}", qblob.len(), fblob.len());
-
-        let loaded = ModelBundle::from_bytes(&qbytes).unwrap();
-        let qs = loaded.qstore.as_ref().expect("quantized bundle fills qstore");
-        assert_eq!(*qs, tensor::QuantStore::quantize(&bundle.store));
-
-        // The dequantized store instantiates the same architecture.
-        let (task, store) = loaded.instantiate().unwrap();
-        let LigerTask::Namer { namer, .. } = &task else { panic!("expected namer") };
-
-        // Quantized greedy naming through the engine agrees with the
-        // dequantized-store prediction run through the f32 tape.
-        let mut engine = crate::QuantEngine::new(qs);
-        assert_eq!(engine.name(namer, &prog(1)), namer.predict(&store, &prog(1)));
-    }
-
-    #[test]
-    fn quantized_bundle_embeddings_stay_close_to_f32() {
-        let (bundle, _) = trained_namer_bundle();
-        let loaded = ModelBundle::from_bytes(&bundle.to_quantized_bytes()).unwrap();
-        let (task, _) = loaded.instantiate().unwrap();
-        let LigerTask::Namer { namer, .. } = &task else { panic!("expected namer") };
-
-        let f32_emb = crate::Inferencer::from_bundle(&bundle).unwrap().embed(&prog(1));
-        let mut engine = crate::QuantEngine::new(loaded.qstore.as_ref().expect("qstore"));
-        let q_emb = engine.embed(&namer.model, &prog(1));
-        assert!(crate::qencode::cosine(&f32_emb, &q_emb) >= 0.99);
     }
 
     #[test]

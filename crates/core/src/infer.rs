@@ -14,23 +14,23 @@
 //!   traces (and therefore a bit-reproducible embedding);
 //! - [`LigerTask`] — a trained encoder plus its task head (namer or
 //!   classifier);
-//! - [`Inferencer`] — task + vocabulary + one weight form (f32 or int8),
+//! - [`Inferencer`] — task + vocabulary + trained f32 parameters,
 //!   shared read-only by any number of threads.
 //!
-//! The f32 engine is bitwise identical to the tape's `LigerModel::encode`
+//! The engine is bitwise identical to the tape's `LigerModel::encode`
 //! and `LigerNamer::predict` (DESIGN.md §2f), so served results equal the
 //! training-time forward pass for every batch composition.
 
 use crate::bundle::{BundleError, ModelBundle};
 use crate::encode::{encode_program, EncodeOptions, EncodedProgram};
 use crate::model::{LigerModel, Workspace};
-use crate::qencode::{Engine, EngineWeights, FloatEngine, QuantEngine};
+use crate::qencode::Engine;
 use crate::train::LigerNamer;
 use crate::vocab::{OutVocab, Vocab};
 use crate::LigerClassifier;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tensor::{ParamStore, QuantStore};
+use tensor::ParamStore;
 
 /// How MiniLang source is turned into blended traces at inference time.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,7 +178,7 @@ impl LigerTask {
         }
     }
 
-    /// The program embedding 𝓗_P for one program, through the f32 engine.
+    /// The program embedding 𝓗_P for one program, through the engine.
     /// `_ws` is unused: inference runs tape-free, and the parameter only
     /// keeps the signature callers already use.
     pub fn embed_in(
@@ -187,11 +187,11 @@ impl LigerTask {
         store: &ParamStore,
         prog: &EncodedProgram,
     ) -> Vec<f32> {
-        FloatEngine::new(store).embed(self.model(), prog)
+        Engine::new(store).embed(self.model(), prog)
     }
 
     /// Program embeddings for a whole minibatch through the batch-major
-    /// f32 engine. Each is bitwise identical to its
+    /// engine. Each is bitwise identical to its
     /// [`LigerTask::embed_in`] result. `_ws` is unused, as there.
     pub fn embed_batch_in(
         &self,
@@ -199,10 +199,10 @@ impl LigerTask {
         store: &ParamStore,
         progs: &[&EncodedProgram],
     ) -> Vec<Vec<f32>> {
-        FloatEngine::new(store).embed_batch(self.model(), progs)
+        Engine::new(store).embed_batch(self.model(), progs)
     }
 
-    /// Predicted method-name sub-tokens through the f32 engine; `None`
+    /// Predicted method-name sub-tokens through the engine; `None`
     /// for classifier bundles. `_ws` is unused, as in
     /// [`LigerTask::embed_in`].
     pub fn name_in(
@@ -211,32 +211,25 @@ impl LigerTask {
         store: &ParamStore,
         prog: &EncodedProgram,
     ) -> Option<Vec<String>> {
-        self.name_with(&mut FloatEngine::new(store), prog)
+        self.name_with(store, prog)
     }
 
-    /// [`LigerTask::name_in`] on any engine.
-    fn name_with<W: EngineWeights>(
-        &self,
-        engine: &mut Engine<W>,
-        prog: &EncodedProgram,
-    ) -> Option<Vec<String>> {
+    /// [`LigerTask::name_in`] without the workspace.
+    fn name_with(&self, store: &ParamStore, prog: &EncodedProgram) -> Option<Vec<String>> {
         match self {
-            LigerTask::Namer { namer, out } => Some(out.decode_name(&engine.name(namer, prog))),
+            LigerTask::Namer { namer, out } => {
+                Some(out.decode_name(&Engine::new(store).name(namer, prog)))
+            }
             LigerTask::Classifier { .. } => None,
         }
     }
 
-    /// Predicted class id and display label on any engine; `None` for
-    /// namer bundles.
-    fn classify_with<W: EngineWeights>(
-        &self,
-        engine: &mut Engine<W>,
-        prog: &EncodedProgram,
-    ) -> Option<(usize, String)> {
+    /// Predicted class id and display label; `None` for namer bundles.
+    fn classify_with(&self, store: &ParamStore, prog: &EncodedProgram) -> Option<(usize, String)> {
         match self {
             LigerTask::Namer { .. } => None,
             LigerTask::Classifier { cls, labels } => {
-                let class = engine.classify(cls, prog);
+                let class = Engine::new(store).classify(cls, prog);
                 let label = labels
                     .get(class)
                     .cloned()
@@ -248,9 +241,8 @@ impl LigerTask {
 }
 
 /// Everything a caller needs to query a trained model: the task, the
-/// input vocabulary, and one weight form — the trained f32 parameters, or
-/// the int8 ones of a quantized (`qparams`) bundle. Every method takes
-/// `&self` and builds a tape-free engine borrowing the weights, so one
+/// input vocabulary, and the trained f32 parameters. Every method takes
+/// `&self` and builds a tape-free engine borrowing the parameters, so one
 /// inferencer serves any number of threads without copying them.
 #[derive(Debug)]
 pub struct Inferencer {
@@ -258,16 +250,7 @@ pub struct Inferencer {
     pub task: LigerTask,
     /// The input vocabulary the model was trained against.
     pub vocab: Vocab,
-    weights: InferWeights,
-}
-
-/// The one weight form an [`Inferencer`] serves from.
-#[derive(Debug)]
-enum InferWeights {
-    /// Trained f32 parameters: bitwise equal to the tape.
-    F32(ParamStore),
-    /// Quantized int8/f16 parameters from a `qparams` bundle.
-    Int8(QuantStore),
+    store: ParamStore,
 }
 
 impl Inferencer {
@@ -279,16 +262,7 @@ impl Inferencer {
     /// its declared architecture.
     pub fn from_bundle(bundle: &ModelBundle) -> Result<Inferencer, BundleError> {
         let (task, store) = bundle.instantiate()?;
-        let weights = match &bundle.qstore {
-            Some(qs) => InferWeights::Int8(qs.clone()),
-            None => InferWeights::F32(store),
-        };
-        Ok(Inferencer { task, vocab: bundle.vocab.clone(), weights })
-    }
-
-    /// Whether this inferencer runs the int8 engine.
-    pub fn is_quantized(&self) -> bool {
-        matches!(self.weights, InferWeights::Int8(_))
+        Ok(Inferencer { task, vocab: bundle.vocab.clone(), store })
     }
 
     /// Encodes MiniLang source against this model's vocabulary.
@@ -306,11 +280,7 @@ impl Inferencer {
 
     /// Program embeddings 𝓗_P for a minibatch, batch-major.
     pub fn embed_batch(&self, progs: &[&EncodedProgram]) -> Vec<Vec<f32>> {
-        let model = self.task.model();
-        match &self.weights {
-            InferWeights::F32(store) => FloatEngine::new(store).embed_batch(model, progs),
-            InferWeights::Int8(qs) => QuantEngine::new(qs).embed_batch(model, progs),
-        }
+        Engine::new(&self.store).embed_batch(self.task.model(), progs)
     }
 
     /// The program embedding 𝓗_P.
@@ -320,18 +290,12 @@ impl Inferencer {
 
     /// Predicted method-name sub-tokens; `None` for classifier bundles.
     pub fn name(&self, prog: &EncodedProgram) -> Option<Vec<String>> {
-        match &self.weights {
-            InferWeights::F32(store) => self.task.name_with(&mut FloatEngine::new(store), prog),
-            InferWeights::Int8(qs) => self.task.name_with(&mut QuantEngine::new(qs), prog),
-        }
+        self.task.name_with(&self.store, prog)
     }
 
     /// Predicted class id and label; `None` for namer bundles.
     pub fn classify(&self, prog: &EncodedProgram) -> Option<(usize, String)> {
-        match &self.weights {
-            InferWeights::F32(store) => self.task.classify_with(&mut FloatEngine::new(store), prog),
-            InferWeights::Int8(qs) => self.task.classify_with(&mut QuantEngine::new(qs), prog),
-        }
+        self.task.classify_with(&self.store, prog)
     }
 }
 
@@ -441,7 +405,6 @@ mod tests {
         }
         let bundle = ModelBundle::for_namer(cfg, vocab, out, store);
         let inf = Inferencer::from_bundle(&bundle).unwrap();
-        assert!(!inf.is_quantized());
         assert_eq!(inf.embed(&prog(1)), served);
         assert!(inf.classify(&prog(1)).is_none());
     }

@@ -102,7 +102,7 @@ pub use infer::{
     extract_encoded, vocab_from_sources, ExtractError, ExtractOptions, Inferencer, LigerTask,
 };
 pub use model::{Ablation, EncoderOutput, LigerConfig, LigerModel, Workspace};
-pub use qencode::{cosine, FloatEngine, QuantEncoding, QuantEngine};
+pub use qencode::{Encoding, Engine};
 pub use train::{
     train_classifier, train_classifier_with, train_namer, train_namer_with, ClassSample,
     EncodeMode, LigerNamer, NameSample, TrainConfig,

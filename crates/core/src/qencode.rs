@@ -1,34 +1,21 @@
-//! The tape-free inference engine: every forward-only request — f32 or
-//! int8 — runs here (DESIGN.md §2f). The autodiff tape is for training.
+//! The tape-free inference engine: every forward-only request runs here
+//! (DESIGN.md §2f). The autodiff tape is for training.
 //!
 //! This module mirrors the Figure 5 forward pass — TreeLSTM statement
 //! embeddings, f₁/f₂ state embeddings, a₁ fusion attention, the f₃ flow
 //! recurrence, max-pooling, plus the decoder/classifier heads — over plain
-//! `Vec<f32>` activations. The pass is written once, generic over how
-//! weights are read ([`EngineWeights`]), and batch-major: one program is
-//! a batch of one. [`Engine::encode_batch`] merges every program's pool
-//! (so structurally identical statements/states memoize *across*
-//! programs), makes every blended trace a lane, and advances the f₃ flow
-//! recurrence for all live lanes in lockstep — one [`EngineWeights::panel`]
-//! per weight matrix per step. Two weight forms instantiate it:
+//! `Vec<f32>` activations read from a borrowed [`ParamStore`]. The pass is
+//! batch-major: one program is a batch of one. [`Engine::encode_batch`]
+//! merges every program's pool (so structurally identical
+//! statements/states memoize *across* programs), makes every blended
+//! trace a lane, and advances the f₃ flow recurrence for all live lanes in
+//! lockstep — one panel product per weight matrix per step.
 //!
-//! * [`FloatEngine`] reads borrowed f32 parameters and routes every
-//!   product through [`tensor::gemm_batch`], whose output rows are bitwise
-//!   equal to the tape's blocked matvec, with the same per-element combine
-//!   order at every step — so its outputs are **bitwise identical** to
-//!   `LigerModel::encode` on the tape, for any batch composition.
-//!
-//! * [`QuantEngine`] runs one [`QuantMat::matvec_quant`] per panel row:
-//!   the int8 codes are consumed directly (per-row absmax scales, exact i32
-//!   accumulation), never dequantized to a f32 matrix. Biases and probe
-//!   vectors are f16-stored f32. Its arithmetic is *not* bitwise-equal to
-//!   the f32 path — quantization is lossy by design. The contract,
-//!   enforced by tests here and the quickstart accuracy gate in
-//!   `scripts/ci.sh`, is behavioural: served embeddings stay within a
-//!   cosine-similarity bound of f32 and task accuracy stays within one
-//!   point. Batch and per-program int8 results are bitwise equal.
-//!
-//! [`QuantMat::matvec_quant`]: tensor::tensor::QuantMat::matvec_quant
+//! Every product runs through [`tensor::gemm_batch`], whose output rows are
+//! bitwise equal to the tape's blocked matvec, with the same per-element
+//! combine order at every step — so the engine's outputs are **bitwise
+//! identical** to `LigerModel::encode` on the tape, for any batch
+//! composition.
 
 use crate::classifier::{argmax, LigerClassifier};
 use crate::encode::{EncPool, EncStepRef, EncodedProgram, PoolVar, StateId, TreeId};
@@ -37,19 +24,19 @@ use crate::train::LigerNamer;
 use crate::vocab::{TokenId, EOS, SOS};
 use nn::{AttentionScorer, RnnCell};
 use std::collections::HashMap;
-use tensor::{ParamId, ParamStore, QuantStore};
+use tensor::{ParamId, ParamStore};
 
 /// The encoder outputs of a tape-free engine (plain activations instead
 /// of tape [`tensor::VarId`]s).
 #[derive(Debug, Clone)]
-pub struct QuantEncoding {
+pub struct Encoding {
     /// The program embedding 𝓗_P.
     pub program: Vec<f32>,
     /// The flow states Hᵉ_{i,j} per trace and step (decoder memory).
     pub flow: Vec<Vec<Vec<f32>>>,
 }
 
-impl QuantEncoding {
+impl Encoding {
     /// All flow states flattened, in trace order.
     pub fn all_flow_states(&self) -> Vec<Vec<f32>> {
         self.flow.iter().flatten().cloned().collect()
@@ -66,36 +53,22 @@ struct EngineMemo {
     states: HashMap<StateId, Vec<f32>>,
 }
 
-/// How an engine reads model weights: the only seam between the f32 and
-/// int8 instantiations of the shared forward pass.
-pub trait EngineWeights {
-    /// The panel product `W·xⱼ (+ b)` for each of the `k` rows packed in
-    /// `xs`, written to the matching rows of `out` (`k × rows(w)`).
-    fn panel(&mut self, w: ParamId, xs: &[f32], k: usize, bias: Option<ParamId>, out: &mut [f32]);
-
-    /// Output rows of weight matrix `w`.
-    fn rows(&self, w: ParamId) -> usize;
-
-    /// A stored vector parameter (bias or attention probe) as f32.
-    fn vecf(&self, id: ParamId) -> &[f32];
-
-    /// One embedding-table row into `out`.
-    fn row(&self, table: ParamId, token: usize, out: &mut [f32]);
-
-    /// Bumps this engine's per-program dispatch counter.
-    fn count_program(&self);
-}
-
-/// f32 weights read straight from the training [`ParamStore`]; every
-/// product runs the packed kernel, so the engine is bitwise identical to
-/// the tape forward pass.
-#[derive(Debug, Clone, Copy)]
-pub struct FloatWeights<'a> {
+/// The tape-free inference engine over borrowed f32 parameters. Engines
+/// borrow their weights, so building one per call is free.
+#[derive(Debug)]
+pub struct Engine<'a> {
     store: &'a ParamStore,
 }
 
-impl EngineWeights for FloatWeights<'_> {
-    fn panel(&mut self, w: ParamId, xs: &[f32], k: usize, bias: Option<ParamId>, out: &mut [f32]) {
+impl<'a> Engine<'a> {
+    /// Wraps a borrowed f32 parameter store (no copies are made).
+    pub fn new(store: &'a ParamStore) -> Engine<'a> {
+        Engine { store }
+    }
+
+    /// The panel product `W·xⱼ (+ b)` for each of the `k` rows packed in
+    /// `xs`, written to the matching rows of `out` (`k × rows(w)`).
+    fn panel(&self, w: ParamId, xs: &[f32], k: usize, bias: Option<ParamId>, out: &mut [f32]) {
         obs::counter!("tensor.gemm.dispatch_f32").inc();
         obs::counter!("tensor.gemm.batched_rows").add(k as u64);
         let m = &self.store.get(w).value;
@@ -103,95 +76,16 @@ impl EngineWeights for FloatWeights<'_> {
         tensor::gemm_batch(m.data(), m.rows(), m.cols(), xs, k, b, out);
     }
 
-    fn rows(&self, w: ParamId) -> usize {
-        self.store.get(w).value.rows()
-    }
-
-    fn vecf(&self, id: ParamId) -> &[f32] {
+    /// The values of parameter `id` (a bias or attention probe), borrowed
+    /// from the store rather than the engine.
+    fn values(&self, id: ParamId) -> &'a [f32] {
         self.store.get(id).value.data()
     }
 
-    fn row(&self, table: ParamId, token: usize, out: &mut [f32]) {
-        let t = &self.store.get(table).value;
-        let cols = t.cols();
-        out.copy_from_slice(&t.data()[token * cols..(token + 1) * cols]);
-    }
-
-    fn count_program(&self) {
-        obs::counter!("encode.f32_programs").inc();
-    }
-}
-
-/// Borrowed quantized parameters (int8 matrices + f16-stored vectors)
-/// plus the engine's own input-quantization scratch.
-#[derive(Debug, Clone)]
-pub struct QuantWeights<'a> {
-    qs: &'a QuantStore,
-    xq: Vec<i8>,
-}
-
-impl EngineWeights for QuantWeights<'_> {
-    fn panel(&mut self, w: ParamId, xs: &[f32], k: usize, bias: Option<ParamId>, out: &mut [f32]) {
-        obs::counter!("tensor.gemm.dispatch_int8").inc();
-        let m = self.qs.mat(w);
-        let b = bias.map(|id| self.qs.vecf(id));
-        assert_eq!(xs.len(), k * m.cols(), "panel input length mismatch");
-        assert_eq!(out.len(), k * m.rows(), "panel output length mismatch");
-        for (x, o) in xs.chunks_exact(m.cols()).zip(out.chunks_exact_mut(m.rows())) {
-            m.matvec_quant(x, &mut self.xq, b, o);
-        }
-    }
-
-    fn rows(&self, w: ParamId) -> usize {
-        self.qs.mat(w).rows()
-    }
-
-    fn vecf(&self, id: ParamId) -> &[f32] {
-        self.qs.vecf(id)
-    }
-
-    fn row(&self, table: ParamId, token: usize, out: &mut [f32]) {
-        self.qs.row(table, token, out);
-    }
-
-    fn count_program(&self) {
-        obs::counter!("encode.quant_programs").inc();
-    }
-}
-
-/// A tape-free inference engine over some weight representation.
-/// Engines borrow their weights, so building one per call is free.
-#[derive(Debug)]
-pub struct Engine<W> {
-    weights: W,
-}
-
-/// The int8 inference engine (see module docs).
-pub type QuantEngine<'a> = Engine<QuantWeights<'a>>;
-
-/// The bitwise-exact f32 inference engine (see module docs).
-pub type FloatEngine<'a> = Engine<FloatWeights<'a>>;
-
-impl<'a> QuantEngine<'a> {
-    /// Wraps a borrowed quantized store (quantize-at-save; the on-disk
-    /// form is [`tensor::save_store_quantized`]).
-    pub fn new(qs: &'a QuantStore) -> QuantEngine<'a> {
-        Engine { weights: QuantWeights { qs, xq: Vec::new() } }
-    }
-}
-
-impl<'a> FloatEngine<'a> {
-    /// Wraps a borrowed f32 parameter store (no copies are made).
-    pub fn new(store: &'a ParamStore) -> FloatEngine<'a> {
-        Engine { weights: FloatWeights { store } }
-    }
-}
-
-impl<W: EngineWeights> Engine<W> {
     /// One weight product `W·x (+ b)`: a panel of one row.
     fn matvec(&mut self, w: ParamId, x: &[f32], bias: Option<ParamId>) -> Vec<f32> {
-        let mut out = vec![0.0; self.weights.rows(w)];
-        self.weights.panel(w, x, 1, bias, &mut out);
+        let mut out = vec![0.0; self.store.get(w).value.rows()];
+        self.panel(w, x, 1, bias, &mut out);
         out
     }
 
@@ -200,7 +94,7 @@ impl<W: EngineWeights> Engine<W> {
     fn gate(&mut self, w: ParamId, x: &[f32], v: ParamId, h: &[f32], b: ParamId, act: Act) -> Vec<f32> {
         let mut wx = self.matvec(w, x, None);
         let vh = self.matvec(v, h, None);
-        let bias = self.weights.vecf(b);
+        let bias = self.values(b);
         for ((o, &vhv), &bv) in wx.iter_mut().zip(&vh).zip(bias) {
             *o = act.apply((*o + vhv) + bv);
         }
@@ -229,10 +123,10 @@ impl<W: EngineWeights> Engine<W> {
             cat.extend_from_slice(k);
             cat.extend_from_slice(query);
         }
-        let m = self.weights.rows(attn.proj.w);
+        let m = self.store.get(attn.proj.w).value.rows();
         let mut t = vec![0.0; keys.len() * m];
-        self.weights.panel(attn.proj.w, &cat, keys.len(), Some(attn.proj.b), &mut t);
-        let probe = self.weights.vecf(attn.v);
+        self.panel(attn.proj.w, &cat, keys.len(), Some(attn.proj.b), &mut t);
+        let probe = self.values(attn.v);
         let scores: Vec<f32> = t
             .chunks_exact(m)
             .map(|row| row.iter().zip(probe).map(|(a, b)| a.tanh() * b).sum::<f32>())
@@ -258,10 +152,9 @@ impl<W: EngineWeights> Engine<W> {
     }
 
     /// One embedding-table row.
-    fn emb_row(&self, table: ParamId, token: usize, hidden: usize) -> Vec<f32> {
-        let mut x = vec![0.0; hidden];
-        self.weights.row(table, token, &mut x);
-        x
+    fn emb_row(&self, table: ParamId, token: usize) -> Vec<f32> {
+        let t = &self.store.get(table).value;
+        t.data()[token * t.cols()..(token + 1) * t.cols()].to_vec()
     }
 
     /// Child-Sum TreeLSTM over one interned statement AST. The child-h
@@ -281,7 +174,7 @@ impl<W: EngineWeights> Engine<W> {
         let node = pool.tree(id);
         let children: Vec<(Vec<f32>, Vec<f32>)> =
             node.children.iter().map(|&c| self.tree_rec(model, pool, c, memo)).collect();
-        let x = self.emb_row(model.emb.param(), node.token, model.cfg.hidden);
+        let x = self.emb_row(model.emb.param(), node.token);
         let h_sum = match children.split_first() {
             None => vec![0.0; model.cfg.hidden],
             Some(((h0, _), rest)) => {
@@ -327,12 +220,12 @@ impl<W: EngineWeights> Engine<W> {
             .vars
             .iter()
             .map(|v| match v {
-                PoolVar::Primitive(t) => self.emb_row(model.emb.param(), *t, model.cfg.hidden),
+                PoolVar::Primitive(t) => self.emb_row(model.emb.param(), *t),
                 PoolVar::Object(o) => {
                     let xs: Vec<Vec<f32>> = pool
                         .object(*o)
                         .iter()
-                        .map(|&t| self.emb_row(model.emb.param(), t, model.cfg.hidden))
+                        .map(|&t| self.emb_row(model.emb.param(), t))
                         .collect();
                     self.rnn_encode(&model.f1, &xs)
                 }
@@ -389,7 +282,7 @@ impl<W: EngineWeights> Engine<W> {
     /// and `V·H`) per step, combined as `tanh((wx + vh) + b)` — the fused
     /// gate's per-element order. Each program's encoding is independent
     /// of the rest of the batch.
-    pub fn encode_batch(&mut self, model: &LigerModel, progs: &[&EncodedProgram]) -> Vec<QuantEncoding> {
+    pub fn encode_batch(&mut self, model: &LigerModel, progs: &[&EncodedProgram]) -> Vec<Encoding> {
         let _span = obs::span!("encode.engine");
         let hidden = model.cfg.hidden;
 
@@ -404,7 +297,7 @@ impl<W: EngineWeights> Engine<W> {
         let mut memo = EngineMemo::default();
         let mut lanes: Vec<Lane> = Vec::new();
         for (pi, prog) in progs.iter().enumerate() {
-            self.weights.count_program();
+            obs::counter!("encode.f32_programs").inc();
             let (tree_map, state_map) = pool.absorb(&prog.pool);
             for trace in &prog.traces {
                 if trace.steps.is_empty() {
@@ -441,9 +334,9 @@ impl<W: EngineWeights> Engine<W> {
             let k = live.len();
             wx.resize(k * hidden, 0.0);
             vh.resize(k * hidden, 0.0);
-            self.weights.panel(model.f3.w, &xs, k, None, &mut wx);
-            self.weights.panel(model.f3.v, &hs, k, None, &mut vh);
-            let b = self.weights.vecf(model.f3.b);
+            self.panel(model.f3.w, &xs, k, None, &mut wx);
+            self.panel(model.f3.v, &hs, k, None, &mut vh);
+            let b = self.values(model.f3.b);
             for (r, &li) in live.iter().enumerate() {
                 let lane = &mut lanes[li];
                 for (i, hv) in lane.h.iter_mut().enumerate() {
@@ -457,9 +350,9 @@ impl<W: EngineWeights> Engine<W> {
         // as the elementwise max over its traces' final states (the same
         // fold as the tape's max_pool: keep the incumbent on ties, take
         // the challenger only when strictly greater).
-        let mut out: Vec<QuantEncoding> = progs
+        let mut out: Vec<Encoding> = progs
             .iter()
-            .map(|_| QuantEncoding { program: Vec::new(), flow: Vec::new() })
+            .map(|_| Encoding { program: Vec::new(), flow: Vec::new() })
             .collect();
         for lane in lanes {
             let enc = &mut out[lane.prog];
@@ -484,7 +377,7 @@ impl<W: EngineWeights> Engine<W> {
     }
 
     /// [`Engine::encode_batch`] of one program.
-    pub fn encode(&mut self, model: &LigerModel, prog: &EncodedProgram) -> QuantEncoding {
+    pub fn encode(&mut self, model: &LigerModel, prog: &EncodedProgram) -> Encoding {
         self.encode_batch(model, &[prog]).pop().expect("one encoding per program")
     }
 
@@ -509,7 +402,7 @@ impl<W: EngineWeights> Engine<W> {
         let mut prev = SOS;
         let mut out = Vec::new();
         for _ in 0..namer.model.cfg.max_name_len {
-            let x = self.emb_row(dec.out_emb.param(), prev, hidden);
+            let x = self.emb_row(dec.out_emb.param(), prev);
             let h_next = self.gate(dec.rnn.w, &x, dec.rnn.v, &h, dec.rnn.b, Act::Tanh);
             let ctx = if memory.is_empty() {
                 vec![0.0; hidden]
@@ -561,25 +454,11 @@ impl Act {
     }
 }
 
-/// Cosine similarity between two embeddings (the served-embedding drift
-/// metric; 1.0 = parallel). Returns 1.0 when both are all-zero.
-pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "cosine of different dims");
-    let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    let na: f32 = a.iter().map(|x| x * x).sum::<f32>().sqrt();
-    let nb: f32 = b.iter().map(|x| x * x).sum::<f32>().sqrt();
-    if na == 0.0 && nb == 0.0 {
-        return 1.0;
-    }
-    if na == 0.0 || nb == 0.0 {
-        return 0.0;
-    }
-    dot / (na * nb)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    // The engine under test, named for the f32 weights it reads.
+    use super::Engine as FloatEngine;
     use crate::encode::{EncBlended, EncState, EncStep, EncTree, EncVar};
     use crate::model::LigerConfig;
     use crate::train::{train_namer, NameSample, TrainConfig};
@@ -636,7 +515,7 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    fn encoding_bits(enc: &QuantEncoding) -> (Vec<u32>, Vec<Vec<Vec<u32>>>) {
+    fn encoding_bits(enc: &Encoding) -> (Vec<u32>, Vec<Vec<Vec<u32>>>) {
         let flow = enc.flow.iter().map(|tr| tr.iter().map(|s| bits(s)).collect()).collect();
         (bits(&enc.program), flow)
     }
@@ -678,25 +557,6 @@ mod tests {
                     encoding_bits(&engine.encode(&model, p)),
                     encoding_bits(enc_b),
                     "{ablation:?}: program {i} depends on its batch"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn int8_engine_batch_matches_per_program_bitwise() {
-        for ablation in ABLATIONS {
-            let (store, model) = model(34, 24, ablation);
-            let qs = QuantStore::quantize(&store);
-            let progs = ragged_batch();
-            let refs: Vec<&EncodedProgram> = progs.iter().collect();
-            let mut engine = QuantEngine::new(&qs);
-            let batched = engine.encode_batch(&model, &refs);
-            for (i, (p, enc_b)) in progs.iter().zip(&batched).enumerate() {
-                assert_eq!(
-                    encoding_bits(&engine.encode(&model, p)),
-                    encoding_bits(enc_b),
-                    "{ablation:?}: int8 program {i} depends on its batch"
                 );
             }
         }
@@ -754,62 +614,8 @@ mod tests {
     }
 
     #[test]
-    fn quantized_embedding_tracks_f32_embedding() {
-        let (store, model) = model(21, 16, Ablation::Full);
-        let qs = QuantStore::quantize(&store);
-        let mut engine = QuantEngine::new(&qs);
-        for t in [1usize, 4, 7] {
-            let p = prog(t);
-            let mut g = Graph::new();
-            let f32_emb = model.encode(&mut g, &store, &p);
-            let f32_vec = g.value(f32_emb.program).data().to_vec();
-            let q_vec = engine.embed(&model, &p);
-            let cos = cosine(&f32_vec, &q_vec);
-            assert!(cos >= 0.99, "cosine {cos} below bound for program {t}");
-        }
-    }
-
-    #[test]
     fn empty_program_embeds_to_zeros() {
         let (store, model) = model(22, 8, Ablation::Full);
-        let qs = QuantStore::quantize(&store);
-        assert_eq!(QuantEngine::new(&qs).embed(&model, &EncodedProgram::default()), vec![0.0; 12]);
         assert_eq!(FloatEngine::new(&store).embed(&model, &EncodedProgram::default()), vec![0.0; 12]);
-    }
-
-    #[test]
-    fn quantized_namer_matches_f32_on_trained_model() {
-        let (store, namer, samples) = trained_namer(23);
-        let qs = QuantStore::quantize(&store);
-        let mut engine = QuantEngine::new(&qs);
-        for s in &samples {
-            assert_eq!(engine.name(&namer, &s.program), namer.predict(&store, &s.program));
-        }
-    }
-
-    #[test]
-    fn quantized_classifier_matches_f32_on_trained_model() {
-        let (store, cls) = trained_classifier();
-        let qs = QuantStore::quantize(&store);
-        let mut engine = QuantEngine::new(&qs);
-        for p in [prog(1), prog(6)] {
-            assert_eq!(engine.classify(&cls, &p), cls.predict(&store, &p));
-        }
-    }
-
-    #[test]
-    fn engine_roundtrips_through_quantized_checkpoint() {
-        let (store, model) = model(25, 12, Ablation::Full);
-        let qs = QuantStore::quantize(&store);
-        let reloaded = tensor::load_store_quantized(&tensor::save_store_quantized(&qs)).unwrap();
-        let p = prog(2);
-        assert_eq!(QuantEngine::new(&qs).embed(&model, &p), QuantEngine::new(&reloaded).embed(&model, &p));
-    }
-
-    #[test]
-    fn cosine_handles_edge_cases() {
-        assert_eq!(cosine(&[0.0, 0.0], &[0.0, 0.0]), 1.0);
-        assert_eq!(cosine(&[1.0, 0.0], &[0.0, 0.0]), 0.0);
-        assert!((cosine(&[1.0, 2.0], &[2.0, 4.0]) - 1.0).abs() < 1e-6);
     }
 }

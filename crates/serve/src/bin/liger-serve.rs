@@ -370,7 +370,7 @@ fn serve_main(args: &[String]) -> i32 {
     );
     if metrics {
         // The full process-wide registry: serve.* counters plus the
-        // kernel-level ones (tensor.gemm.dispatch_f32 / dispatch_int8,
+        // kernel-level ones (tensor.gemm.dispatch_f32,
         // tensor.gemm.batched_rows, serve.fused_embed_batch) that show
         // how batches were executed.
         print!("{}", obs::metrics::registry().snapshot().render_table());

@@ -125,8 +125,8 @@ impl Default for ServerConfig {
 /// Model state shared by every thread (read-only after startup, except
 /// the shutdown flag and the completion queue).
 struct Shared {
-    /// The model, its vocabulary, and its f32 or int8 weights; every
-    /// shard thread borrows it.
+    /// The model, its vocabulary, and its weights; every shard thread
+    /// borrows it.
     infer: Inferencer,
     extract: ExtractOptions,
     stats: ServeStats,
@@ -352,17 +352,6 @@ pub fn source_hash(src: &str) -> u64 {
     store::hash::fnv1a_str(src)
 }
 
-/// A compact fingerprint of the serving model, stored in every index
-/// file: head kind, embedding width, vocabulary size, numeric path, and
-/// an FNV-1a hash of the trained parameter bytes. Two bundles that could
-/// produce different embeddings get different fingerprints, so a stale
-/// index is refused at load rather than silently searched. Delegates to
-/// [`ModelBundle::fingerprint`], which the artifact store stamps on
-/// every cached embedding for the same staleness guarantee.
-pub fn model_fingerprint(bundle: &ModelBundle) -> String {
-    bundle.fingerprint()
-}
-
 /// Opens (or creates) the embedding index for `bundle`: loads
 /// `index_path` when the file exists, otherwise starts empty.
 ///
@@ -374,7 +363,7 @@ fn open_index(
     bundle: &ModelBundle,
     index_path: Option<&std::path::Path>,
 ) -> io::Result<Index> {
-    let fingerprint = model_fingerprint(bundle);
+    let fingerprint = bundle.fingerprint();
     let dim = bundle.cfg.hidden;
     match index_path {
         Some(path) if path.exists() => {
@@ -433,7 +422,7 @@ pub fn serve(bundle: &ModelBundle, config: ServerConfig) -> io::Result<ServerHan
         canon: Mutex::new(CanonEncoder::new()),
         index_path: config.index_path.clone(),
         astore,
-        model_fp: model_fingerprint(bundle),
+        model_fp: bundle.fingerprint(),
         shutdown: AtomicBool::new(false),
         completions: Mutex::new(Vec::new()),
         waker: Waker::new()?,

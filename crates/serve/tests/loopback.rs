@@ -179,58 +179,6 @@ fn concurrent_clients_get_bitwise_identical_embeddings_and_batching_kicks_in() {
 }
 
 #[test]
-fn quantized_bundle_is_served_through_the_int8_engine() {
-    let bundle = trained_bundle();
-    let qbundle = ModelBundle::from_bytes(&bundle.to_quantized_bytes()).unwrap();
-    assert!(qbundle.qstore.is_some(), "qparams bundle must carry its int8 store");
-
-    // Offline references: the f32 embedding (for closeness) and the
-    // int8 engine's own outputs (for exact agreement with serving).
-    let (task, store) = bundle.instantiate().unwrap();
-    let program = prog(2);
-    let mut g = tensor::Graph::new();
-    let out = task.model().encode(&mut g, &store, &program);
-    let f32_embedding = g.value(out.program).data().to_vec();
-    let offline = liger::Inferencer::from_bundle(&qbundle).unwrap();
-    assert!(offline.is_quantized());
-    let engine_embedding = offline.embed(&program);
-    let engine_name = offline.name(&program).unwrap();
-
-    let handle = serve(&qbundle, ServerConfig::default()).unwrap();
-    let mut client = Client::connect(handle.local_addr()).unwrap();
-
-    let reply = client
-        .call(&infer_request(InferKind::Embed, &InferInput::Encoded(Box::new(program.clone()))))
-        .unwrap();
-    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true), "reply: {reply}");
-    let served = embedding_from_json(reply.get("embedding").unwrap()).unwrap();
-    // Exactly the int8 engine's output (integer accumulation is exact)…
-    assert_eq!(bits(&served), bits(&engine_embedding));
-    // …and close to the f32 reference per the quantization error model.
-    assert!(
-        liger::cosine(&served, &f32_embedding) >= 0.99,
-        "served int8 embedding drifted from f32: cosine {}",
-        liger::cosine(&served, &f32_embedding)
-    );
-
-    let reply = client
-        .call(&infer_request(InferKind::Name, &InferInput::Encoded(Box::new(program.clone()))))
-        .unwrap();
-    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
-    let served_name: Vec<String> = reply
-        .get("name")
-        .and_then(Json::as_arr)
-        .unwrap()
-        .iter()
-        .map(|t| t.as_str().unwrap().to_string())
-        .collect();
-    assert_eq!(served_name, engine_name);
-
-    handle.shutdown();
-    handle.join();
-}
-
-#[test]
 fn lint_op_is_served_with_structured_diagnostics() {
     let bundle = trained_bundle();
     let handle = serve(&bundle, ServerConfig::default()).unwrap();

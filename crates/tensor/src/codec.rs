@@ -1,6 +1,6 @@
 //! The one binary codec behind every on-disk format.
 //!
-//! Checkpoints (`LGR1`, `LGRq`), model bundles (`LGRB1`), the embedding
+//! Checkpoints (`LGR1`), model bundles (`LGRB1`), the embedding
 //! index (`LGRI1`), artifact-store entries (`LGRS1`) and every store
 //! payload (trace groups, corpus outcomes, facts, lints, embeddings)
 //! read and write through these two cursors, so they share one
@@ -296,7 +296,7 @@ macro_rules! le_primitives {
     };
 }
 
-le_primitives!(u16, u32, u64, i64, f32, f64);
+le_primitives!(u32, u64, i64, f32, f64);
 
 /// Replaces `path` with `bytes` crash-safely: writes a `.tmp` sibling,
 /// syncs it to disk, and renames it over `path`. A crash leaves either
@@ -324,7 +324,6 @@ mod tests {
         w.header(b"TST", b'1');
         w.u8(7);
         w.bool(true);
-        w.u16(0xbeef);
         w.u32(0xdead_beef);
         w.u64(u64::MAX);
         w.i64(-42);
@@ -338,7 +337,6 @@ mod tests {
         r.header(b"TST", b'1').unwrap();
         assert_eq!(r.u8().unwrap(), 7);
         assert!(r.bool().unwrap());
-        assert_eq!(r.u16().unwrap(), 0xbeef);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u64().unwrap(), u64::MAX);
         assert_eq!(r.i64().unwrap(), -42);

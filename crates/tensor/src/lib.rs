@@ -40,16 +40,12 @@ pub mod gradcheck;
 pub mod serialize;
 pub mod graph;
 pub mod pool;
-pub mod quant;
 pub mod store;
 pub mod tensor;
 
 pub use gradcheck::{assert_grads_close, grad_check, pseudo_tensor, GradCheckReport};
 pub use graph::{Act, Graph, VarId};
 pub use pool::BufferPool;
-pub use quant::{
-    load_store_quantized, save_store_quantized, QuantData, QuantParam, QuantStore, QUANT_VERSION,
-};
 pub use serialize::{load_store_binary, save_store_binary, CheckpointError, LoadError};
 pub use store::{Param, ParamGrads, ParamId, ParamStore};
-pub use tensor::{cosine_scores, f16_bits_to_f32, f32_to_f16_bits, gemm_batch, QuantMat, Tensor};
+pub use tensor::{cosine_scores, gemm_batch, Tensor};

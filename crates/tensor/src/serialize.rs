@@ -14,9 +14,11 @@
 //! The loader rejects duplicate parameter names — a checkpoint that
 //! binds one name twice is corrupt, not "last one wins".
 //!
-//! Both this format and the quantized `LGRq` variant ([`crate::quant`])
-//! read and write through [`crate::codec`]; [`ParamStore::save_to_path`]
-//! replaces files atomically ([`crate::codec::write_atomic`]).
+//! The format reads and writes through [`crate::codec`];
+//! [`ParamStore::save_to_path`] replaces files atomically
+//! ([`crate::codec::write_atomic`]). `LGR1` is the one weight format:
+//! any other version byte (such as the retired int8 `LGRq`) is a typed
+//! [`LoadError::VersionMismatch`].
 
 use crate::codec::{write_atomic, ByteReader, ByteWriter, DecodeError};
 use crate::store::ParamStore;
@@ -29,8 +31,7 @@ pub const MAGIC: &[u8; 3] = b"LGR";
 /// The current binary checkpoint version byte.
 pub const VERSION: u8 = b'1';
 
-/// Errors from [`load_store_binary`] and
-/// [`crate::quant::load_store_quantized`].
+/// Errors from [`load_store_binary`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LoadError {
     /// The input ended in the middle of a record.
@@ -47,9 +48,9 @@ pub enum LoadError {
         /// The repeated name.
         name: String,
     },
-    /// A binary record carried a non-UTF-8 or oversized name, a shape
-    /// whose element count overflows, or an unknown payload tag;
-    /// `index` equal to the parameter count flags trailing bytes.
+    /// A binary record carried a non-UTF-8 or oversized name, or a shape
+    /// whose element count overflows; `index` equal to the parameter
+    /// count flags trailing bytes.
     BadRecord {
         /// The 0-based parameter index.
         index: usize,
@@ -120,53 +121,6 @@ impl From<LoadError> for CheckpointError {
     }
 }
 
-/// The header every record of both checkpoint formats opens with.
-pub(crate) struct Record {
-    pub index: usize,
-    pub name: String,
-    pub rows: usize,
-    pub cols: usize,
-    /// `rows × cols`, checked for overflow.
-    pub len: usize,
-}
-
-/// Reads an `LGR<version>` checkpoint: the header, a `u32` record count,
-/// then per record its [`Record`] header (a name bound twice is
-/// [`LoadError::DuplicateParam`]) and the payload `body` reads. Input
-/// too short for the header is not a checkpoint at all, and trailing
-/// bytes mean writer and reader disagree about the record layout, so
-/// they are refused rather than ignored.
-pub(crate) fn read_checkpoint<T>(
-    bytes: &[u8],
-    version: u8,
-    min_record: usize,
-    mut body: impl FnMut(&mut ByteReader<'_>, Record) -> Result<T, LoadError>,
-) -> Result<Vec<T>, LoadError> {
-    if bytes.len() < 4 {
-        return Err(LoadError::BadMagic);
-    }
-    let mut r = ByteReader::new(bytes);
-    r.header(MAGIC, version)?;
-    let count = r.u32()? as usize;
-    let mut seen = HashSet::new();
-    let mut index = 0;
-    let records = r.repeat(count, min_record, |r| {
-        let name = r.str().map_err(|e| match e {
-            DecodeError::BadRecord => LoadError::BadRecord { index },
-            e => e.into(),
-        })?;
-        if !seen.insert(name.clone()) {
-            return Err(LoadError::DuplicateParam { name });
-        }
-        let (rows, cols) = (r.u32()? as usize, r.u32()? as usize);
-        let len = rows.checked_mul(cols).ok_or(LoadError::BadRecord { index })?;
-        index += 1;
-        body(r, Record { index: index - 1, name, rows, cols, len })
-    })?;
-    r.finish().map_err(|_| LoadError::BadRecord { index: count })?;
-    Ok(records)
-}
-
 /// Serializes every parameter's value in the binary `LGR1` format.
 pub fn save_store_binary(store: &ParamStore) -> Vec<u8> {
     // Header + per-param records; payload dominates, so reserve for it.
@@ -187,6 +141,10 @@ pub fn save_store_binary(store: &ParamStore) -> Vec<u8> {
 
 /// Reconstructs a parameter store from [`save_store_binary`] output.
 ///
+/// Input too short for the header is not a checkpoint at all, and
+/// trailing bytes mean writer and reader disagree about the record
+/// layout, so both are refused rather than ignored.
+///
 /// # Errors
 ///
 /// Returns [`LoadError::BadMagic`] / [`LoadError::VersionMismatch`] for
@@ -194,12 +152,32 @@ pub fn save_store_binary(store: &ParamStore) -> Vec<u8> {
 /// bound twice, and [`LoadError::UnexpectedEof`] / [`LoadError::BadRecord`]
 /// on truncation or malformed records.
 pub fn load_store_binary(bytes: &[u8]) -> Result<ParamStore, LoadError> {
+    if bytes.len() < 4 {
+        return Err(LoadError::BadMagic);
+    }
+    let mut r = ByteReader::new(bytes);
+    r.header(MAGIC, VERSION)?;
+    let count = r.u32()? as usize;
     let mut store = ParamStore::new();
-    read_checkpoint(bytes, VERSION, 12, |r, rec| {
-        let values = r.repeat(rec.len, 8, |r| r.f64().map(|v| v as f32))?;
-        store.add(rec.name, Tensor::from_vec(rec.rows, rec.cols, values));
-        Ok(())
+    let mut seen = HashSet::new();
+    let mut index = 0;
+    // Smallest record: name length, rows and cols, each a `u32`.
+    r.repeat(count, 12, |r| {
+        let name = r.str().map_err(|e| match e {
+            DecodeError::BadRecord => LoadError::BadRecord { index },
+            e => e.into(),
+        })?;
+        if !seen.insert(name.clone()) {
+            return Err(LoadError::DuplicateParam { name });
+        }
+        let (rows, cols) = (r.u32()? as usize, r.u32()? as usize);
+        let len = rows.checked_mul(cols).ok_or(LoadError::BadRecord { index })?;
+        let values = r.repeat(len, 8, |r| r.f64().map(|v| v as f32))?;
+        store.add(name, Tensor::from_vec(rows, cols, values));
+        index += 1;
+        Ok::<_, LoadError>(())
     })?;
+    r.finish().map_err(|_| LoadError::BadRecord { index: count })?;
     Ok(store)
 }
 
@@ -287,6 +265,14 @@ mod tests {
         let mut blob = save_store_binary(&ParamStore::new());
         blob[3] = b'9';
         assert_eq!(load_store_binary(&blob).unwrap_err(), LoadError::VersionMismatch { found: b'9' });
+    }
+
+    #[test]
+    fn f32_loader_rejects_lgrq_checkpoints() {
+        // The retired int8 format: `LGR` + version byte `q`, then records.
+        let mut blob = save_store_binary(&sample_store());
+        blob[3] = b'q';
+        assert_eq!(load_store_binary(&blob).unwrap_err(), LoadError::VersionMismatch { found: b'q' });
     }
 
     #[test]

@@ -460,200 +460,6 @@ pub fn cosine_scores(
     }
 }
 
-/// An int8-quantized matrix with per-row absmax scales: the storage and
-/// inference format behind the `--quantize` checkpoint extension.
-///
-/// Row `r` of the original matrix is stored as `q[r,c] · scales[r]` with
-/// `q ∈ [-127, 127]` and `scales[r] = absmax(row r) / 127`, so the
-/// worst-case per-element reconstruction error is `scales[r] / 2` (half a
-/// quantization step — the bound the roundtrip proptest asserts).
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantMat {
-    rows: usize,
-    cols: usize,
-    q: Vec<i8>,
-    scales: Vec<f32>,
-}
-
-impl QuantMat {
-    /// Quantizes a matrix row-by-row (absmax scaling).
-    pub fn quantize(w: &Tensor) -> QuantMat {
-        let (rows, cols) = (w.rows(), w.cols());
-        let mut q = vec![0i8; rows * cols];
-        let mut scales = vec![0.0f32; rows];
-        for r in 0..rows {
-            let row = &w.data()[r * cols..(r + 1) * cols];
-            let absmax = row.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-            if absmax == 0.0 {
-                continue; // all-zero row: scale 0, q all zero.
-            }
-            let scale = absmax / 127.0;
-            scales[r] = scale;
-            for (qv, v) in q[r * cols..(r + 1) * cols].iter_mut().zip(row) {
-                *qv = (v / scale).round().clamp(-127.0, 127.0) as i8;
-            }
-        }
-        QuantMat { rows, cols, q, scales }
-    }
-
-    /// Rebuilds from stored parts (the checkpoint loader).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the part lengths do not match the shape.
-    pub fn from_parts(rows: usize, cols: usize, q: Vec<i8>, scales: Vec<f32>) -> QuantMat {
-        assert_eq!(q.len(), rows * cols, "quantized data length mismatch");
-        assert_eq!(scales.len(), rows, "scale count mismatch");
-        QuantMat { rows, cols, q, scales }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The int8 codes, row-major.
-    pub fn codes(&self) -> &[i8] {
-        &self.q
-    }
-
-    /// The per-row scales.
-    pub fn scales(&self) -> &[f32] {
-        &self.scales
-    }
-
-    /// The dequantized f32 matrix (`q[r,c] · scales[r]`).
-    pub fn dequantize(&self) -> Tensor {
-        let mut data = vec![0.0f32; self.rows * self.cols];
-        for r in 0..self.rows {
-            let s = self.scales[r];
-            for (o, qv) in data[r * self.cols..(r + 1) * self.cols]
-                .iter_mut()
-                .zip(&self.q[r * self.cols..(r + 1) * self.cols])
-            {
-                *o = *qv as f32 * s;
-            }
-        }
-        Tensor::from_vec(self.rows, self.cols, data)
-    }
-
-    /// Dequantize-free quantized matvec: `out[r] = bias[r] +
-    /// (scales[r]·s_x) · Σ_c q[r,c]·xq[c]`, where `xq` is the input
-    /// quantized on the fly with one absmax scale `s_x` and the reduction
-    /// runs in exact i32 arithmetic (so the quantized path is itself
-    /// deterministic). `xq` is caller-provided scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatches.
-    pub fn matvec_quant(&self, x: &[f32], xq: &mut Vec<i8>, bias: Option<&[f32]>, out: &mut [f32]) {
-        assert_eq!(x.len(), self.cols, "matvec_quant input length mismatch");
-        assert_eq!(out.len(), self.rows, "matvec_quant output length mismatch");
-        let bias_at = |r: usize| bias.map_or(0.0, |b| b[r]);
-        let absmax = x.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        if absmax == 0.0 {
-            for (r, o) in out.iter_mut().enumerate() {
-                *o = bias_at(r);
-            }
-            return;
-        }
-        let s_x = absmax / 127.0;
-        xq.clear();
-        xq.extend(x.iter().map(|v| (v / s_x).round().clamp(-127.0, 127.0) as i8));
-        for (r, o) in out.iter_mut().enumerate() {
-            let row = &self.q[r * self.cols..(r + 1) * self.cols];
-            // Four independent i32 accumulators: integer adds are exact and
-            // associative, so this unrolling is pure throughput.
-            let quads = self.cols / 4 * 4;
-            let (mut a0, mut a1, mut a2, mut a3) = (0i32, 0i32, 0i32, 0i32);
-            let mut c = 0;
-            while c < quads {
-                a0 += row[c] as i32 * xq[c] as i32;
-                a1 += row[c + 1] as i32 * xq[c + 1] as i32;
-                a2 += row[c + 2] as i32 * xq[c + 2] as i32;
-                a3 += row[c + 3] as i32 * xq[c + 3] as i32;
-                c += 4;
-            }
-            let mut acc = a0 + a1 + a2 + a3;
-            while c < self.cols {
-                acc += row[c] as i32 * xq[c] as i32;
-                c += 1;
-            }
-            *o = bias_at(r) + (self.scales[r] * s_x) * acc as f32;
-        }
-    }
-}
-
-/// Converts an `f32` to IEEE 754 binary16 bits (round-to-nearest-even),
-/// the storage format for unquantized vectors in quantized checkpoints.
-/// Std-only: no `half` dependency.
-pub fn f32_to_f16_bits(v: f32) -> u16 {
-    let bits = v.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xff) as i32;
-    let mant = bits & 0x7f_ffff;
-    if exp == 0xff {
-        // Inf / NaN (force a quiet-NaN payload bit so NaN survives).
-        return sign | 0x7c00 | if mant != 0 { 0x0200 } else { 0 };
-    }
-    let unbiased = exp - 127;
-    if unbiased > 15 {
-        return sign | 0x7c00; // overflow → ±inf
-    }
-    if unbiased >= -14 {
-        // Normal half: drop 13 mantissa bits, round to nearest even.
-        let mut half_exp = (unbiased + 15) as u32;
-        let mut half_mant = mant >> 13;
-        let rem = mant & 0x1fff;
-        if rem > 0x1000 || (rem == 0x1000 && half_mant & 1 == 1) {
-            half_mant += 1;
-            if half_mant == 0x400 {
-                half_mant = 0;
-                half_exp += 1;
-                if half_exp >= 31 {
-                    return sign | 0x7c00;
-                }
-            }
-        }
-        return sign | ((half_exp as u16) << 10) | half_mant as u16;
-    }
-    if unbiased < -25 {
-        return sign; // underflows to ±0 even after rounding
-    }
-    // Subnormal half: shift the implicit-1 mantissa into place, round.
-    let full_mant = mant | 0x80_0000;
-    let shift = (13 - 14 - unbiased) as u32;
-    let mut half_mant = full_mant >> shift;
-    let rem = full_mant & ((1u32 << shift) - 1);
-    let halfway = 1u32 << (shift - 1);
-    if rem > halfway || (rem == halfway && half_mant & 1 == 1) {
-        half_mant += 1; // may carry into the exponent: smallest normal, still valid
-    }
-    sign | half_mant as u16
-}
-
-/// Converts IEEE 754 binary16 bits back to `f32` (exact: every f16 value
-/// is representable in f32).
-pub fn f16_bits_to_f32(h: u16) -> f32 {
-    let sign = ((h & 0x8000) as u32) << 16;
-    let exp = ((h >> 10) & 0x1f) as u32;
-    let mant = (h & 0x3ff) as u32;
-    if exp == 0x1f {
-        return f32::from_bits(sign | 0x7f80_0000 | (mant << 13));
-    }
-    if exp == 0 {
-        // ±0 or subnormal: value = mant · 2⁻²⁴, exact in f32.
-        let v = mant as f32 / 16_777_216.0;
-        return if sign != 0 { -v } else { v };
-    }
-    f32::from_bits(sign | ((exp + 112) << 23) | (mant << 13))
-}
-
 impl fmt::Display for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor({}×{})[", self.rows, self.cols)?;
@@ -874,110 +680,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn quantize_roundtrip_error_is_within_half_a_step() {
-        let w = pseudo(7, 13, 99);
-        let q = QuantMat::quantize(&w);
-        let back = q.dequantize();
-        for r in 0..7 {
-            let bound = q.scales()[r] / 2.0 + 1e-12;
-            for c in 0..13 {
-                let err = (w.data()[r * 13 + c] - back.data()[r * 13 + c]).abs();
-                assert!(err <= bound, "w[{r},{c}]: err {err} > scale/2 {bound}");
-            }
-        }
-        // Round-trip through the checkpoint representation is exact.
-        let rebuilt =
-            QuantMat::from_parts(q.rows(), q.cols(), q.codes().to_vec(), q.scales().to_vec());
-        assert_eq!(q, rebuilt);
-    }
-
-    #[test]
-    fn quantize_handles_zero_rows() {
-        let mut w = pseudo(3, 4, 5);
-        w.data_mut()[4..8].fill(0.0);
-        let q = QuantMat::quantize(&w);
-        assert_eq!(q.scales()[1], 0.0);
-        assert_eq!(q.dequantize().data()[4..8], [0.0; 4]);
-        // And the quantized matvec treats the zero row as exactly bias.
-        let x = pseudo(4, 1, 17);
-        let bias = pseudo(3, 1, 23);
-        let mut xq = Vec::new();
-        let mut out = vec![0.0f32; 3];
-        q.matvec_quant(x.data(), &mut xq, Some(bias.data()), &mut out);
-        assert_eq!(out[1].to_bits(), bias.data()[1].to_bits());
-    }
-
-    #[test]
-    fn matvec_quant_tracks_f32_matvec() {
-        let w = pseudo(9, 14, 41);
-        let x = pseudo(14, 1, 43);
-        let b = pseudo(9, 1, 47);
-        let exact = w.affine(&x, &b);
-        let q = QuantMat::quantize(&w);
-        let mut xq = Vec::new();
-        let mut out = vec![0.0f32; 9];
-        q.matvec_quant(x.data(), &mut xq, Some(b.data()), &mut out);
-        // Error budget: per-element weight error ≤ scale_r/2 and input error
-        // ≤ s_x/2 compound over the reduction; a loose additive bound
-        // suffices to catch scaling/transposition bugs.
-        let s_x = x.data().iter().fold(0.0f32, |m, v| m.max(v.abs())) / 127.0;
-        for (r, (o, e)) in out.iter().zip(exact.data()).enumerate() {
-            let x_norm1: f32 = x.data().iter().map(|v| v.abs()).sum();
-            let w_norm1: f32 =
-                w.data()[r * 14..(r + 1) * 14].iter().map(|v| v.abs()).sum();
-            let bound = q.scales()[r] / 2.0 * (x_norm1 + 14.0 * s_x / 2.0)
-                + s_x / 2.0 * w_norm1
-                + 1e-5;
-            let err = (o - e).abs();
-            assert!(err <= bound, "row {r}: err {err} > bound {bound}");
-        }
-        // Zero input short-circuits to bias.
-        let mut out2 = vec![9.0f32; 9];
-        q.matvec_quant(&[0.0; 14], &mut xq, Some(b.data()), &mut out2);
-        assert_eq!(out2, b.data());
-    }
-
-    #[test]
-    fn f16_roundtrip_is_exact_for_all_f16_values() {
-        // Every finite f16 → f32 → f16 round-trip must reproduce the bits;
-        // the sweep covers normals, subnormals, zeros and infinities.
-        for h in 0..=u16::MAX {
-            let exp = (h >> 10) & 0x1f;
-            let mant = h & 0x3ff;
-            if exp == 0x1f && mant != 0 {
-                // NaN: payload may be canonicalised, but NaN-ness survives.
-                assert!(f16_bits_to_f32(h).is_nan());
-                assert_eq!(f32_to_f16_bits(f16_bits_to_f32(h)) & 0x7c00, 0x7c00);
-                continue;
-            }
-            let v = f16_bits_to_f32(h);
-            assert_eq!(f32_to_f16_bits(v), h, "h={h:#06x} v={v}");
-        }
-    }
-
-    #[test]
-    fn f32_to_f16_rounds_to_nearest_even_and_clamps() {
-        assert_eq!(f32_to_f16_bits(0.0), 0);
-        assert_eq!(f32_to_f16_bits(-0.0), 0x8000);
-        assert_eq!(f32_to_f16_bits(1.0), 0x3c00);
-        assert_eq!(f32_to_f16_bits(65504.0), 0x7bff); // f16::MAX
-        assert_eq!(f32_to_f16_bits(65536.0), 0x7c00); // overflow → inf
-        assert_eq!(f32_to_f16_bits(f32::INFINITY), 0x7c00);
-        assert_eq!(f32_to_f16_bits(f32::NEG_INFINITY), 0xfc00);
-        assert!(f16_bits_to_f32(f32_to_f16_bits(f32::NAN)).is_nan());
-        // 1 + 2⁻¹¹ is exactly halfway between two halves: ties to even (1.0).
-        assert_eq!(f32_to_f16_bits(1.0 + f32::powi(2.0, -11)), 0x3c00);
-        // 1 + 3·2⁻¹¹ halfway again: ties to even rounds UP to 1 + 2·2⁻¹⁰.
-        assert_eq!(f32_to_f16_bits(1.0 + 3.0 * f32::powi(2.0, -11)), 0x3c02);
-        // Smallest positive subnormal and values below half of it.
-        assert_eq!(f32_to_f16_bits(f16_bits_to_f32(0x0001)), 0x0001);
-        assert_eq!(f32_to_f16_bits(2.8e-8), 0); // < 2⁻²⁵: underflow to zero
-        // f16 precision loss round-trips through the nearest representable.
-        let v = 0.1f32;
-        let r = f16_bits_to_f32(f32_to_f16_bits(v));
-        assert!((v - r).abs() < 1e-4);
     }
 }

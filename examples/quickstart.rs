@@ -11,14 +11,7 @@
 //! cargo run --release --example quickstart              # later runs: loads
 //! cargo run --release --example quickstart -- --retrain # force retraining
 //! cargo run --release --example quickstart -- --profile # + quickstart.trace.json
-//! cargo run --release --example quickstart -- --quantize # int8 checkpoint + gate
 //! ```
-//!
-//! `--quantize` rewrites the checkpoint in the int8 `qparams` variant
-//! (per-row absmax codes, ~4× smaller) and gates it: the dequantize-free
-//! int8 engine must reproduce the f32 prediction and keep the embedding
-//! cosine ≥ 0.99. `scripts/ci.sh` runs this as the quantized-accuracy
-//! gate.
 //!
 //! `--profile` (or `LIGER_PROFILE=1`) turns on span tracing: a summary
 //! tree and metrics table go to stderr, and the full timeline is written
@@ -37,7 +30,6 @@ const TRACE_PATH: &str = "quickstart.trace.json";
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let retrain = std::env::args().any(|a| a == "--retrain");
     let profile = std::env::args().any(|a| a == "--profile");
-    let quantize = std::env::args().any(|a| a == "--quantize");
     let args: Vec<String> = std::env::args().collect();
     let store_path = args
         .iter()
@@ -50,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Root span around the whole pipeline, so the emitted trace has a
         // single top-level event covering ~all wall time.
         let _root = obs::span!("quickstart");
-        run(retrain, quantize, store_path.as_deref())
+        run(retrain, store_path.as_deref())
     };
     if profile || obs::trace::enabled() {
         // Collect once: the write drains the recorded events, then the
@@ -65,11 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     result
 }
 
-fn run(
-    retrain: bool,
-    quantize: bool,
-    store_path: Option<&str>,
-) -> Result<(), Box<dyn std::error::Error>> {
+fn run(retrain: bool, store_path: Option<&str>) -> Result<(), Box<dyn std::error::Error>> {
     let source = "fn maxArray(a: array<int>) -> int {
         if (len(a) == 0) { return 0; }
         let best: int = a[0];
@@ -224,37 +212,5 @@ fn run(
         println!("store: {}", store::StoreStats::snapshot().since(&stats_before));
     }
 
-    // 7. --quantize: rewrite the checkpoint in the int8 `qparams` variant
-    //    and gate it before trusting it — the dequantize-free engine must
-    //    reproduce the f32 prediction (within 1 point of accuracy means
-    //    identical on this task) and keep the embedding aligned.
-    if quantize {
-        let (task, store) = bundle.instantiate()?;
-        let mut ws = liger::Workspace::new();
-        let f32_name = task.name_in(&mut ws, &store, &encoded).expect("namer task");
-        let f32_emb = task.embed_in(&mut ws, &store, &encoded);
-
-        bundle.save_quantized_to_path(CKPT_PATH)?;
-        let qbundle = ModelBundle::load_from_path(CKPT_PATH)?;
-        let qinf = liger::Inferencer::from_bundle(&qbundle)?;
-        assert!(qinf.is_quantized(), "quantized checkpoint did not produce an int8 engine");
-        let q_name = qinf.name(&encoded).expect("quantized bundle is a namer");
-        let q_emb = qinf.embed(&encoded);
-        let cos = liger::cosine(&f32_emb, &q_emb);
-
-        println!("\n== Quantized checkpoint ==");
-        println!(
-            "rewrote {CKPT_PATH} as int8 qparams ({} bytes on disk)",
-            std::fs::metadata(CKPT_PATH)?.len()
-        );
-        println!(
-            "int8 predicted name: {} (f32: {})",
-            minilang::join_subtokens(&q_name),
-            minilang::join_subtokens(&f32_name)
-        );
-        println!("embedding cosine vs f32: {cos:.6}");
-        assert_eq!(q_name, f32_name, "quantized prediction diverged from f32");
-        assert!(cos >= 0.99, "quantized embedding cosine {cos} below the 0.99 bound");
-    }
     Ok(())
 }

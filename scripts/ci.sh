@@ -10,7 +10,7 @@
 #     over a source nested past MiniLang's budget (must exit 2);
 #   - liger-serve smoke test, semantic code-search smoke across a
 #     restart, and canonicalizer clone-detection smoke;
-#   - profiled-quickstart trace validation and the --quantize gate;
+#   - profiled-quickstart trace validation;
 #   - artifact-store red-green gate (warm quickstart: zero misses);
 #   - the in-bench gates of the serve, obs, kernels, encode, index and
 #     store throughput benches, and the paper report at tiny scale.
@@ -28,8 +28,8 @@ cargo test --workspace -q
 scripts/bench_test.sh
 LIGER_THREADS=2 cargo test -q --test autodiff_properties parallel_training_is_bitwise_deterministic
 LIGER_THREADS=2 cargo test -q --test autodiff_properties cached_training_is_bitwise_identical
-# Batch-major fused-GEMM equivalence + int8 roundtrip proptests, with the
-# worker pool forced to 2 so the batched path runs under the same thread
+# Batch-major fused-GEMM equivalence proptests, with the worker pool
+# forced to 2 so the batched path runs under the same thread
 # configuration the determinism contract is stated for.
 LIGER_THREADS=2 cargo test -q --test kernel_properties
 
@@ -230,13 +230,6 @@ rm -f quickstart.trace.json
 LIGER_PROFILE=1 cargo run --release --example quickstart -- --retrain
 target/release/trace-validate --min-coverage 0.9 quickstart.trace.json
 echo "profiled quickstart trace validated"
-
-# ---- quantized-accuracy gate on the quickstart checkpoint ---------------
-# --quantize rewrites the checkpoint as int8 qparams and asserts in-process
-# that the dequantize-free engine reproduces the f32 prediction and keeps
-# the embedding cosine >= 0.99.
-cargo run --release --example quickstart -- --quantize
-echo "quantized quickstart checkpoint gate passed"
 
 # ---- serve load-generator smoke gate ------------------------------------
 # A short high-concurrency run of the epoll front end: 2 load-generator

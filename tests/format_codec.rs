@@ -9,7 +9,9 @@
 //! - every strict prefix of a valid sample fails typed, and every
 //!   single-byte flip either fails typed or decodes to a value the
 //!   writer can write back — no decoder ever panics;
-//! - checkpoint saves replace their file whole.
+//! - checkpoint saves replace their file whole;
+//! - bundles of the retired int8 form (`qparams`) are refused typed;
+//! - the model fingerprint that keys index and store files is pinned.
 
 use analysis::persist::{facts_from_bytes, facts_to_bytes, lint_from_bytes, lint_to_bytes};
 use datagen::{outcome_from_bytes, outcome_to_bytes, FilterReason};
@@ -17,7 +19,7 @@ use interp::{EventKind, PathStep, State, TraceEvent, Value};
 use liger::{LigerConfig, ModelBundle, OutVocab, Vocab};
 use minilang::StmtId;
 use store::{hash::fnv1a_bytes, ArtifactKind, Entry};
-use tensor::{ParamStore, QuantStore, Tensor};
+use tensor::{ParamStore, Tensor};
 use trace::persist::{groups_from_bytes, groups_to_bytes};
 use trace::{ExecutionTrace, PathGroup, SymbolicTrace};
 
@@ -101,11 +103,6 @@ fn hostile_lgr1() -> Vec<u8> {
     [&b"LGR1"[..], &le(&[1, 4]), b"wxyz", &le(&[u32::MAX, u32::MAX, 0])].concat()
 }
 
-/// The same record as an `LGRq` f16 vector (payload tag 0).
-fn hostile_lgrq() -> Vec<u8> {
-    [&b"LGRq"[..], &le(&[1, 4]), b"wxyz", &le(&[u32::MAX, u32::MAX]), &[0], &le(&[0])].concat()
-}
-
 /// A valid bundle header whose params blob is the hostile `LGR1` record.
 fn hostile_bundle() -> Vec<u8> {
     let bytes = sample_bundle().to_bytes();
@@ -126,14 +123,6 @@ fn re<T, E: std::fmt::Display>(
     decode(b).map(|v| encode(&v)).map_err(|e| e.to_string())
 }
 
-fn bundle_bytes(m: &ModelBundle) -> Vec<u8> {
-    if m.qstore.is_some() {
-        m.to_quantized_bytes()
-    } else {
-        m.to_bytes()
-    }
-}
-
 /// One format's fixed sample, its pinned digest, its decoder, and
 /// (when non-empty) a crafted header with hostile length fields.
 struct Format {
@@ -146,7 +135,6 @@ struct Format {
 
 fn formats() -> Vec<Format> {
     let (params, bundle, program) = (sample_params(), sample_bundle(), sample_program());
-    let qparams = QuantStore::quantize(&params);
     let lgri_hostile = [&b"LGRI1"[..], &le(&[0, u32::MAX, u32::MAX])].concat();
     let entry = store::entry_to_bytes(ArtifactKind::Facts, 0xabcd, "fp@1", b"payload");
     let rejected = outcome_to_bytes(&Err(FilterReason::Timeout));
@@ -159,18 +147,8 @@ fn formats() -> Vec<Format> {
         f("LGR1", 0xd198a7745f4bbf86, tensor::save_store_binary(&params), hostile_lgr1(), |b| {
             re(b, tensor::load_store_binary, tensor::save_store_binary)
         }),
-        f(
-            "LGRq",
-            0xd0b99af88baef524,
-            tensor::save_store_quantized(&qparams),
-            hostile_lgrq(),
-            |b| re(b, tensor::load_store_quantized, tensor::save_store_quantized),
-        ),
         f("LGRB1 params", 0x15e5278dc698f826, bundle.to_bytes(), hostile_bundle(), |b| {
-            re(b, ModelBundle::from_bytes, bundle_bytes)
-        }),
-        f("LGRB1 qparams", 0x6895e986eb42ac3c, bundle.to_quantized_bytes(), none(), |b| {
-            re(b, ModelBundle::from_bytes, bundle_bytes)
+            re(b, ModelBundle::from_bytes, ModelBundle::to_bytes)
         }),
         f("LGRI1", 0xb590942d28414961, index::disk::to_bytes(&sample_index()), lgri_hostile, |b| {
             re(b, index::disk::from_bytes, index::disk::to_bytes)
@@ -261,16 +239,18 @@ fn checkpoint_saves_replace_atomically() {
     let bundle = sample_bundle();
     let path = dir.join("model.lgrb");
 
-    bundle.save_quantized_to_path(&path).unwrap();
+    // A longer bundle first (more vocabulary tokens), so a save that
+    // wrote in place would leave its tail behind.
+    let mut longer = sample_bundle();
+    for t in ["more", "tokens", "than", "the", "sample"] {
+        longer.vocab.add(t);
+    }
+    longer.save_to_path(&path).unwrap();
+    assert!(std::fs::read(&path).unwrap().len() > bundle.to_bytes().len());
     bundle.save_to_path(&path).unwrap();
     let loaded = ModelBundle::load_from_path(&path).unwrap();
-    assert!(loaded.qstore.is_none(), "the f32 save must replace the quantized file");
     assert_eq!(loaded.to_bytes(), bundle.to_bytes());
     assert_eq!(std::fs::read(&path).unwrap(), bundle.to_bytes());
-
-    bundle.save_quantized_to_path(&path).unwrap();
-    let loaded = ModelBundle::load_from_path(&path).unwrap();
-    assert_eq!(loaded.to_quantized_bytes(), bundle.to_quantized_bytes());
 
     let ckpt = dir.join("params.lgr");
     std::fs::write(&ckpt, b"an older, longer checkpoint that must be replaced whole").unwrap();
@@ -282,4 +262,25 @@ fn checkpoint_saves_replace_atomically() {
     names.sort();
     assert_eq!(names, ["model.lgrb", "params.lgr"], "a save left a sibling behind");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A bundle of the retired int8 form, whose payload line is
+/// `qparams <n>`, is a parse error naming `qparams`, not a partial load.
+#[test]
+fn qparams_bundles_are_refused_typed() {
+    let bytes = sample_bundle().to_bytes();
+    let at = bytes.windows(8).position(|w| w == b"\nparams ").expect("params line") + 1;
+    let qbundle = [&bytes[..at], b"q", &bytes[at..]].concat();
+    match ModelBundle::from_bytes(&qbundle) {
+        Err(liger::BundleError::Parse(msg)) => assert!(msg.contains("qparams"), "{msg}"),
+        other => panic!("a qparams bundle must be a parse error, got {other:?}"),
+    }
+}
+
+/// The model fingerprint keys `LGRI1` index files and `LGRS1` store
+/// entries, so its text (including the `f32` weight-form segment) must
+/// not drift: a change orphans every file written before it.
+#[test]
+fn model_fingerprint_is_pinned() {
+    assert_eq!(sample_bundle().fingerprint(), "namer/h6/v5/f32/d198a7745f4bbf86");
 }

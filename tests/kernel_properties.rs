@@ -1,17 +1,14 @@
-//! Property-based tests over the batch-major fused GEMM path and the
-//! int8 quantization scheme.
+//! Property-based tests over the batch-major fused GEMM path.
 //!
 //! The batched kernels' contract is *bitwise* equivalence: fusing the k
 //! per-program `affine` nodes of a minibatch into one `affine_batch`
 //! panel must change neither the forward values nor the gradients, for
 //! any shape — including the degenerate ones (1×N, N×1, k=1) and
 //! non-multiple-of-tile row counts where the 4-row blocked kernel takes
-//! its scalar-tail path. The int8 scheme's contract is the per-row
-//! absmax error model: reconstruction error never exceeds half a
-//! quantization step (`scales[r] / 2`).
+//! its scalar-tail path.
 
 use proptest::prelude::*;
-use tensor::{Graph, ParamStore, QuantMat, Tensor};
+use tensor::{Graph, ParamStore, Tensor};
 
 /// Bit patterns of one tensor's values.
 type Bits = Vec<u32>;
@@ -110,41 +107,6 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         assert_batch_matches_per_program(rows, cols, k, seed);
-    }
-
-    /// int8 per-row absmax roundtrip: every reconstructed element is
-    /// within half a quantization step of the original (plus float
-    /// division/rounding slack), and all-zero rows roundtrip exactly.
-    #[test]
-    fn int8_roundtrip_error_within_per_row_scale_bound(
-        rows in 1usize..=8,
-        cols in 1usize..=8,
-        seed in 0u64..1_000_000,
-        zero_row in 0usize..8,
-    ) {
-        let mut data = fill(seed, rows * cols);
-        // Mix in a larger dynamic range than fill()'s (-0.5, 0.5).
-        for (i, v) in data.iter_mut().enumerate() {
-            *v *= (1 + i % 16) as f32;
-        }
-        if zero_row < rows {
-            data[zero_row * cols..(zero_row + 1) * cols].fill(0.0);
-        }
-        let t = Tensor::from_vec(rows, cols, data.clone());
-        let qm = QuantMat::quantize(&t);
-        let deq = qm.dequantize();
-        for r in 0..rows {
-            let s = qm.scales()[r];
-            // Half-step bound with float slack; s == 0 is the all-zero row.
-            let bound = 0.5 * s * (1.0 + 1e-3) + 1e-7;
-            for c in 0..cols {
-                let err = (data[r * cols + c] - deq.data()[r * cols + c]).abs();
-                prop_assert!(
-                    err <= bound,
-                    "row {r} col {c}: err {err} exceeds half-step bound {bound} (scale {s})"
-                );
-            }
-        }
     }
 }
 
